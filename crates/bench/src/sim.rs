@@ -65,7 +65,7 @@ use latte_store::{OpenReport, Store, StoreConfig, StoreStats, Tier};
 use latte_workloads::BenchmarkSpec;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 /// Canonical identity of one simulation.
@@ -109,7 +109,21 @@ struct SimCell {
     payload_len: AtomicUsize,
 }
 
-static CACHE: OnceLock<Mutex<HashMap<SimKey, Arc<SimCell>>>> = OnceLock::new();
+/// The memo map and the service's counters. They share one lock so that
+/// [`verify_each_sim_ran_once`] reads them as one consistent snapshot,
+/// even while other threads are mid-request.
+#[derive(Default)]
+struct Service {
+    cells: HashMap<SimKey, Arc<SimCell>>,
+    counts: SimStats,
+    /// Requests counted in `counts.requests` that are not yet attributed
+    /// to the hit, compute or recompute that serves them.
+    unattributed: u64,
+    /// Cells claimed but not yet resolved by a compute or a store fill.
+    unresolved: u64,
+}
+
+static SERVICE: OnceLock<Mutex<Service>> = OnceLock::new();
 
 /// The persistent result store, configured at most once per process
 /// from `--store`. `None` (never configured) means the service behaves
@@ -117,28 +131,6 @@ static CACHE: OnceLock<Mutex<HashMap<SimKey, Arc<SimCell>>>> = OnceLock::new();
 static STORE: OnceLock<Arc<Store>> = OnceLock::new();
 /// Whether `--store-verify` re-simulates and byte-compares store hits.
 static STORE_VERIFY: OnceLock<bool> = OnceLock::new();
-
-/// Simulations requested through the service.
-static REQUESTS: AtomicU64 = AtomicU64::new(0);
-/// Requests served by a cell already resolved in this process.
-static REPLAY_HITS: AtomicU64 = AtomicU64::new(0);
-/// Requests (first-for-cell or revivals) served from the store's
-/// in-memory tier.
-static STORE_MEM_HITS: AtomicU64 = AtomicU64::new(0);
-/// Requests (first-for-cell or revivals) served from the store's disk
-/// tier.
-static STORE_DISK_HITS: AtomicU64 = AtomicU64::new(0);
-/// Requests that claimed a fresh cell and ran the simulator.
-static COMPUTED: AtomicU64 = AtomicU64::new(0);
-/// Requests that had to re-run the simulator because a spilled outcome
-/// could no longer be revived from the store.
-static RECOMPUTED: AtomicU64 = AtomicU64::new(0);
-/// Cells first resolved from the persistent store rather than computed.
-static STORE_FILLS: AtomicU64 = AtomicU64::new(0);
-/// Resident outcomes demoted to the store under memory pressure.
-static SPILLS: AtomicU64 = AtomicU64::new(0);
-/// `--store-verify` recomputes that did not byte-match the stored record.
-static VERIFY_FAILURES: AtomicU64 = AtomicU64::new(0);
 
 /// Encoded outcome bytes currently resident in `Ready` cells that are
 /// also durable on disk (i.e. spillable).
@@ -153,8 +145,8 @@ fn lock<'a, T: ?Sized>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn cache() -> &'static Mutex<HashMap<SimKey, Arc<SimCell>>> {
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+fn service() -> MutexGuard<'static, Service> {
+    lock(SERVICE.get_or_init(Mutex::default))
 }
 
 /// Opens the persistent result store and installs it for every
@@ -268,13 +260,13 @@ fn disk_key_for(key: &SimKey) -> u128 {
 }
 
 /// Computes one simulation with its printed output harvested into the
-/// returned [`SimOutcome`] instead of the current capture. `counter`
-/// distinguishes first computes from spill-revival recomputes.
+/// returned [`SimOutcome`] instead of the current capture. `revival`
+/// distinguishes spill-revival recomputes from first computes.
 fn compute(
     policy: PolicyKind,
     bench: &BenchmarkSpec,
     config: &GpuConfig,
-    counter: &AtomicU64,
+    revival: bool,
 ) -> Result<Arc<SimOutcome>, String> {
     let watch = timing::Stopwatch::start();
     let saved = report::swap_capture(Some(String::new()));
@@ -282,7 +274,16 @@ fn compute(
         runner::run_benchmark_uncached(policy, bench, config)
     }));
     let diag = report::swap_capture(saved).unwrap_or_default();
-    counter.fetch_add(1, Ordering::SeqCst);
+    {
+        let mut s = service();
+        s.unattributed -= 1;
+        if revival {
+            s.counts.recomputed += 1;
+        } else {
+            s.counts.computed += 1;
+            s.unresolved -= 1;
+        }
+    }
     let shadow_suffix = if runner::shadow_check_enabled() {
         " [shadow]"
     } else {
@@ -344,11 +345,19 @@ fn persist(cell: &SimCell, outcome: &SimOutcome) -> usize {
     len
 }
 
-fn count_store_hit(tier: Tier) {
+/// Attributes a request to a store hit; `fill` marks the hit that first
+/// resolves its cell.
+fn count_store_hit(tier: Tier, fill: bool) {
+    let mut s = service();
+    s.unattributed -= 1;
     match tier {
-        Tier::Memory => STORE_MEM_HITS.fetch_add(1, Ordering::SeqCst),
-        Tier::Disk => STORE_DISK_HITS.fetch_add(1, Ordering::SeqCst),
-    };
+        Tier::Memory => s.counts.store_mem_hits += 1,
+        Tier::Disk => s.counts.store_disk_hits += 1,
+    }
+    if fill {
+        s.counts.store_fills += 1;
+        s.unresolved -= 1;
+    }
 }
 
 /// Tries to resolve a cell from the persistent store. Returns the
@@ -393,7 +402,7 @@ fn verify_store_hit(
         // The reference recompute itself died: the stored record cannot
         // be confirmed, which is exactly what --store-verify exists to
         // surface.
-        VERIFY_FAILURES.fetch_add(1, Ordering::SeqCst);
+        service().counts.verify_failures += 1;
         report::emit(format_args!(
             "[store-verify] {}/{}: recompute panicked; stored record unconfirmed\n",
             policy.name(),
@@ -405,7 +414,7 @@ fn verify_store_hit(
     if fresh == stored_bytes {
         return None;
     }
-    VERIFY_FAILURES.fetch_add(1, Ordering::SeqCst);
+    service().counts.verify_failures += 1;
     report::emit(format_args!(
         "[store-verify] {}/{}: stored record diverges from recompute \
          ({} vs {} bytes); using the recompute and overwriting the record\n",
@@ -429,8 +438,7 @@ fn resolve_claimed(
     config: &GpuConfig,
 ) -> Arc<SimOutcome> {
     if let Some((outcome, bytes, tier)) = load_from_store(cell, policy, bench) {
-        count_store_hit(tier);
-        STORE_FILLS.fetch_add(1, Ordering::SeqCst);
+        count_store_hit(tier, true);
         // A cold compute would have folded its oracle report into the
         // process tally; a warm fill must look identical.
         if let Some(shadow) = &outcome.result.shadow {
@@ -444,7 +452,7 @@ fn resolve_claimed(
         install_ready(cell, &outcome, bytes.len());
         return outcome;
     }
-    match compute(policy, bench, config, &COMPUTED) {
+    match compute(policy, bench, config, false) {
         Ok(outcome) => {
             let len = persist(cell, &outcome);
             install_ready(cell, &outcome, len);
@@ -468,11 +476,11 @@ fn revive(
     config: &GpuConfig,
 ) -> Arc<SimOutcome> {
     if let Some((outcome, bytes, tier)) = load_from_store(cell, policy, bench) {
-        count_store_hit(tier);
+        count_store_hit(tier, false);
         install_ready(cell, &outcome, bytes.len());
         return outcome;
     }
-    match compute(policy, bench, config, &RECOMPUTED) {
+    match compute(policy, bench, config, true) {
         Ok(outcome) => {
             let len = persist(cell, &outcome);
             install_ready(cell, &outcome, len);
@@ -488,11 +496,12 @@ fn revive(
 /// Returns the memoized outcome for a key, computing it if this is the
 /// first request.
 fn outcome_for(policy: PolicyKind, bench: &BenchmarkSpec, config: &GpuConfig) -> Arc<SimOutcome> {
-    REQUESTS.fetch_add(1, Ordering::SeqCst);
     let key = key_for(policy, bench, config);
     let (cell, claimed) = {
-        let mut map = lock(cache());
-        match map.get(&key) {
+        let mut s = service();
+        s.counts.requests += 1;
+        s.unattributed += 1;
+        match s.cells.get(&key) {
             Some(cell) => (Arc::clone(cell), false),
             None => {
                 let cell = Arc::new(SimCell {
@@ -501,7 +510,8 @@ fn outcome_for(policy: PolicyKind, bench: &BenchmarkSpec, config: &GpuConfig) ->
                     disk_key: disk_key_for(&key),
                     payload_len: AtomicUsize::new(0),
                 });
-                map.insert(key, Arc::clone(&cell));
+                s.cells.insert(key, Arc::clone(&cell));
+                s.unresolved += 1;
                 (cell, true)
             }
         }
@@ -513,13 +523,15 @@ fn outcome_for(policy: PolicyKind, bench: &BenchmarkSpec, config: &GpuConfig) ->
     loop {
         match &*state {
             CellState::Ready(outcome) => {
-                REPLAY_HITS.fetch_add(1, Ordering::SeqCst);
-                return Arc::clone(outcome);
+                let outcome = Arc::clone(outcome);
+                drop(state);
+                count_replay_hit();
+                return outcome;
             }
             CellState::Failed(msg) => {
-                REPLAY_HITS.fetch_add(1, Ordering::SeqCst);
                 let msg = msg.clone();
                 drop(state);
+                count_replay_hit();
                 resume_unwind(Box::new(msg));
             }
             CellState::Spilled => {
@@ -538,6 +550,13 @@ fn outcome_for(policy: PolicyKind, bench: &BenchmarkSpec, config: &GpuConfig) ->
     }
 }
 
+/// Attributes a request to a cell already resolved in this process.
+fn count_replay_hit() {
+    let mut s = service();
+    s.unattributed -= 1;
+    s.counts.replay_hits += 1;
+}
+
 /// Demotes durably-backed resident outcomes to the store until retained
 /// bytes fit the budget again. Only cells whose record is confirmed on
 /// disk are eligible — spilling the only copy would turn a replay into
@@ -553,7 +572,7 @@ fn enforce_retention() {
     if !store.has_disk() {
         return;
     }
-    let cells: Vec<Arc<SimCell>> = lock(cache()).values().map(Arc::clone).collect();
+    let cells: Vec<Arc<SimCell>> = service().cells.values().map(Arc::clone).collect();
     for cell in cells {
         if RETAINED.load(Ordering::SeqCst) <= budget {
             break;
@@ -568,7 +587,7 @@ fn enforce_retention() {
             drop(state);
             cell.payload_len.store(0, Ordering::SeqCst);
             RETAINED.fetch_sub(len, Ordering::SeqCst);
-            SPILLS.fetch_add(1, Ordering::SeqCst);
+            service().counts.spills += 1;
         }
     }
 }
@@ -690,17 +709,7 @@ impl SimStats {
 /// The service's counters since process start.
 #[must_use]
 pub fn stats() -> SimStats {
-    SimStats {
-        requests: REQUESTS.load(Ordering::SeqCst),
-        replay_hits: REPLAY_HITS.load(Ordering::SeqCst),
-        store_mem_hits: STORE_MEM_HITS.load(Ordering::SeqCst),
-        store_disk_hits: STORE_DISK_HITS.load(Ordering::SeqCst),
-        computed: COMPUTED.load(Ordering::SeqCst),
-        recomputed: RECOMPUTED.load(Ordering::SeqCst),
-        store_fills: STORE_FILLS.load(Ordering::SeqCst),
-        spills: SPILLS.load(Ordering::SeqCst),
-        verify_failures: VERIFY_FAILURES.load(Ordering::SeqCst),
-    }
+    service().counts
 }
 
 /// Checks the service's "each unique simulation ran exactly once"
@@ -710,25 +719,33 @@ pub fn stats() -> SimStats {
 /// exception — corruption costs a recompute, never a wrong answer —
 /// and they are tracked separately in [`SimStats::recomputed`].
 ///
+/// Cells and requests still in flight on other threads are counted as
+/// such, from the same snapshot as the counters, so the check holds at
+/// any moment; once the service is idle both in-flight counts are zero.
+///
 /// # Errors
 ///
 /// Returns a description of the violated invariant.
 pub fn verify_each_sim_ran_once() -> Result<(), String> {
-    let s = stats();
-    let unique = lock(cache()).len() as u64;
-    if s.computed + s.store_fills != unique {
+    let s = service();
+    let c = &s.counts;
+    let unique = s.cells.len() as u64;
+    if c.computed + c.store_fills + s.unresolved != unique {
         return Err(format!(
-            "sim cache invariant violated: {} computes + {} store fills for {unique} unique keys",
-            s.computed, s.store_fills
+            "sim cache invariant violated: {} computes + {} store fills + {} in flight \
+             for {unique} unique keys",
+            c.computed, c.store_fills, s.unresolved
         ));
     }
-    if s.requests != s.hits() + s.computed + s.recomputed {
+    if c.requests != c.hits() + c.computed + c.recomputed + s.unattributed {
         return Err(format!(
-            "sim cache invariant violated: {} requests != {} hits + {} computed + {} recomputed",
-            s.requests,
-            s.hits(),
-            s.computed,
-            s.recomputed
+            "sim cache invariant violated: {} requests != {} hits + {} computed + {} recomputed \
+             + {} in flight",
+            c.requests,
+            c.hits(),
+            c.computed,
+            c.recomputed,
+            s.unattributed
         ));
     }
     Ok(())

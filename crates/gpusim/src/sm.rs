@@ -252,6 +252,20 @@ pub(crate) struct Sm {
     pub id: usize,
     pub warps: Vec<Warp>,
     schedulers: Vec<WarpScheduler>,
+    /// First cycle each warp can issue (`WarpState::ready_at`), laid out
+    /// scheduler-major so every scheduler's warps form one contiguous
+    /// slice starting at `ready_start[s]`. Kept in step with the warp
+    /// states by [`Sm::set_state`].
+    ready_at: Vec<Cycles>,
+    /// Per scheduler: where its slice of `ready_at` starts.
+    ready_start: Vec<usize>,
+    /// Per warp: its scheduler and its index in `ready_at`.
+    slot: Vec<(usize, usize)>,
+    /// Per scheduler: how many of its warps are available
+    /// (`WarpState::is_available`), the Eq. (4) sample.
+    available: Vec<u64>,
+    /// Warps in `WarpState::Finished`.
+    finished: usize,
     pub l1: CompressedCache,
     mshr: Mshr,
     dq: DecompressionQueue,
@@ -289,6 +303,11 @@ impl Sm {
             id,
             warps: Vec::new(),
             schedulers: Vec::new(),
+            ready_at: Vec::new(),
+            ready_start: Vec::new(),
+            slot: Vec::new(),
+            available: Vec::new(),
+            finished: 0,
             l1,
             mshr: Mshr::new(config.mshr_entries, config.mshr_merges),
             dq: DecompressionQueue::new(),
@@ -334,6 +353,17 @@ impl Sm {
                 )
             })
             .collect();
+        self.ready_start.clear();
+        self.slot = vec![(0, 0); n];
+        let mut next = 0;
+        for (s, sched) in self.schedulers.iter().enumerate() {
+            self.ready_start.push(next);
+            for &w in sched.warp_ids() {
+                self.slot[w] = (s, next);
+                next += 1;
+            }
+        }
+        (self.ready_at, self.available, self.finished) = self.readiness_from_states();
         if config.flush_at_kernel_boundary {
             self.l1.invalidate_all();
             self.mshr.flush();
@@ -356,30 +386,50 @@ impl Sm {
     }
 
     pub(crate) fn all_finished(&self) -> bool {
-        self.warps.iter().all(Warp::is_finished) && self.waiters.is_empty()
+        self.finished == self.warps.len() && self.waiters.is_empty()
     }
 
-    /// Earliest cycle at which a busy warp becomes ready, if any.
+    /// Earliest cycle at which a warp can issue, if any warp can.
     pub(crate) fn next_wake(&self) -> Option<Cycles> {
-        self.warps
+        self.ready_at
             .iter()
-            .filter_map(|w| match w.state {
-                WarpState::BusyUntil(u) => Some(u),
-                WarpState::Ready => Some(0),
-                WarpState::WaitingData {
-                    until,
-                    pending_misses: 0,
-                } => Some(until),
-                _ => None,
-            })
+            .copied()
             .min()
+            .filter(|&c| c != Cycles::MAX)
     }
 
     /// Adds `n` skipped cycles to every scheduler's probe window.
     pub(crate) fn account_idle(&mut self, n: u64) {
-        for s in &mut self.schedulers {
-            s.account_idle_cycles(n, &self.warps);
+        for (s, sched) in self.schedulers.iter_mut().enumerate() {
+            sched.account_idle_cycles(n, self.available[s]);
         }
+    }
+
+    /// Moves warp `wid` to `state`: the only writer of `Warp::state`, so
+    /// `ready_at`, the per-scheduler available counts and the finished
+    /// count never drift from the warp states.
+    fn set_state(&mut self, wid: usize, state: WarpState) {
+        let old = std::mem::replace(&mut self.warps[wid].state, state);
+        let (s, i) = self.slot[wid];
+        self.ready_at[i] = state.ready_at();
+        self.available[s] =
+            self.available[s] + u64::from(state.is_available()) - u64::from(old.is_available());
+        self.finished = self.finished + usize::from(state == WarpState::Finished)
+            - usize::from(old == WarpState::Finished);
+    }
+
+    /// `ready_at`, the per-scheduler available counts and the finished
+    /// count recomputed from the warp states (launch-time initialisation
+    /// and the drift check in [`Sm::structural_errors`]).
+    fn readiness_from_states(&self) -> (Vec<Cycles>, Vec<u64>, usize) {
+        let mut ready_at = vec![Cycles::MAX; self.slot.len()];
+        let mut available = vec![0; self.schedulers.len()];
+        for (warp, &(s, i)) in self.warps.iter().zip(&self.slot) {
+            ready_at[i] = warp.state.ready_at();
+            available[s] += u64::from(warp.state.is_available());
+        }
+        let finished = self.warps.iter().filter(|w| w.is_finished()).count();
+        (ready_at, available, finished)
     }
 
     /// Runs one issue cycle: each scheduler issues at most one op, and the
@@ -394,7 +444,10 @@ impl Sm {
         // Rotate LD/ST port priority between schedulers.
         for i in 0..n {
             let s = (i + cycle as usize) % n;
-            let Some(wid) = self.schedulers[s].pick(&self.warps, cycle) else {
+            let start = self.ready_start[s];
+            let sched = &mut self.schedulers[s];
+            let ready_at = &self.ready_at[start..start + sched.warp_ids().len()];
+            let Some(wid) = sched.pick(ready_at, self.available[s], cycle) else {
                 continue;
             };
             let op = self.warps[wid].fetch_op();
@@ -422,7 +475,8 @@ impl Sm {
     fn execute(&mut self, wid: usize, op: Op, cycle: Cycles, ctx: &mut MemCtx<'_>) -> bool {
         match op {
             Op::Compute { cycles } => {
-                self.warps[wid].state = WarpState::BusyUntil(cycle + Cycles::from(cycles.max(1)));
+                let until = cycle + Cycles::from(cycles.max(1));
+                self.set_state(wid, WarpState::BusyUntil(until));
                 true
             }
             Op::Load { addr } => self.execute_load(wid, addr, cycle, true, ctx),
@@ -454,16 +508,16 @@ impl Sm {
                         data: None,
                     }));
                 }
-                self.warps[wid].state = WarpState::BusyUntil(cycle + 1);
+                self.set_state(wid, WarpState::BusyUntil(cycle + 1));
                 true
             }
             Op::Barrier => {
-                self.warps[wid].state = WarpState::AtBarrier(cycle);
+                self.set_state(wid, WarpState::AtBarrier(cycle));
                 self.check_barrier(self.warps[wid].block, cycle);
                 true
             }
             Op::Exit => {
-                self.warps[wid].state = WarpState::Finished;
+                self.set_state(wid, WarpState::Finished);
                 // A warp exiting may release a barrier its block-mates wait on.
                 self.check_barrier(self.warps[wid].block, cycle);
                 true
@@ -505,7 +559,7 @@ impl Sm {
             // Back off before replaying so the stalled warp does not hog
             // its scheduler's issue slot every cycle (hardware parks the
             // replay in the instruction buffer).
-            self.warps[wid].state = WarpState::BusyUntil(cycle + 8);
+            self.set_state(wid, WarpState::BusyUntil(cycle + 8));
             return false;
         }
 
@@ -599,18 +653,20 @@ impl Sm {
                 let ready_at = cycle + latency;
                 let warp = &mut self.warps[wid];
                 warp.data_ready_at = warp.data_ready_at.max(ready_at);
-                if blocking {
-                    warp.state = WarpState::WaitingData {
+                let state = if blocking {
+                    let state = WarpState::WaitingData {
                         until: warp.data_ready_at,
                         pending_misses: warp.outstanding_misses,
                     };
                     warp.data_ready_at = 0;
                     warp.outstanding_misses = 0;
+                    state
                 } else {
                     // One cycle of issue occupancy; the data arrives in
                     // the background.
-                    warp.state = WarpState::BusyUntil(cycle + 1);
-                }
+                    WarpState::BusyUntil(cycle + 1)
+                };
+                self.set_state(wid, state);
             }
             LookupOutcome::Miss => {
                 match self.mshr.allocate(line) {
@@ -638,17 +694,19 @@ impl Sm {
                 }
                 self.waiters.entry(line).or_default().push((wid, cycle));
                 let warp = &mut self.warps[wid];
-                if blocking {
-                    warp.state = WarpState::WaitingData {
+                let state = if blocking {
+                    let state = WarpState::WaitingData {
                         until: warp.data_ready_at,
                         pending_misses: warp.outstanding_misses + 1,
                     };
                     warp.data_ready_at = 0;
                     warp.outstanding_misses = 0;
+                    state
                 } else {
                     warp.outstanding_misses += 1;
-                    warp.state = WarpState::BusyUntil(cycle + 1);
-                }
+                    WarpState::BusyUntil(cycle + 1)
+                };
+                self.set_state(wid, state);
             }
         }
         true
@@ -676,7 +734,7 @@ impl Sm {
         if !self.l1.contains(line) && !self.mshr.would_accept(line) {
             ctx.stats.mshr_stalls += 1;
             self.warps[wid].unfetch(Op::Store { addr, data: sector });
-            self.warps[wid].state = WarpState::BusyUntil(cycle + 8);
+            self.set_state(wid, WarpState::BusyUntil(cycle + 8));
             return false;
         }
         ctx.stats.stores += 1;
@@ -697,7 +755,7 @@ impl Sm {
             }
             self.pending_stores.entry(line).or_insert([None; 4])[sector_index] = Some(sector);
         }
-        self.warps[wid].state = WarpState::BusyUntil(cycle + 1);
+        self.set_state(wid, WarpState::BusyUntil(cycle + 1));
         true
     }
 
@@ -893,14 +951,13 @@ impl Sm {
         if let Some(waiters) = self.waiters.remove(&addr) {
             for (wid, issued_at) in waiters {
                 ctx.stats.miss_wait_cycles += cycle.saturating_sub(issued_at);
-                let warp = &mut self.warps[wid];
-                match warp.state {
+                match self.warps[wid].state {
                     WarpState::WaitingData {
                         until,
                         pending_misses,
                     } => {
                         let pending = pending_misses.saturating_sub(1);
-                        warp.state = if pending == 0 {
+                        let state = if pending == 0 {
                             WarpState::BusyUntil(until.max(cycle))
                         } else {
                             WarpState::WaitingData {
@@ -908,11 +965,13 @@ impl Sm {
                                 pending_misses: pending,
                             }
                         };
+                        self.set_state(wid, state);
                     }
                     // The warp is still running past an async miss (or
                     // already exited/hit a barrier): just retire the
                     // outstanding count.
                     _ => {
+                        let warp = &mut self.warps[wid];
                         warp.outstanding_misses = warp.outstanding_misses.saturating_sub(1);
                     }
                 }
@@ -931,10 +990,11 @@ impl Sm {
             )
         });
         if all_arrived {
-            for &w in members {
+            for i in 0..members.len() {
+                let w = self.blocks[block][i];
                 if let WarpState::AtBarrier(since) = self.warps[w].state {
                     self.barrier_wait += cycle - since;
-                    self.warps[w].state = WarpState::BusyUntil(cycle + 1);
+                    self.set_state(w, WarpState::BusyUntil(cycle + 1));
                 }
             }
         }
@@ -1032,9 +1092,32 @@ impl Sm {
 
     /// Collects every structural-invariant failure visible from this SM:
     /// the compressed L1's tag/capacity/shadow checks, the MSHR bounds,
-    /// and the compression policy's internal-state checks.
+    /// the compression policy's internal-state checks, and drift of the
+    /// readiness caches from the warp states.
     pub(crate) fn structural_errors(&self, policy: &dyn L1CompressionPolicy) -> Vec<String> {
         let mut errors = Vec::new();
+        let (ready_at, available, finished) = self.readiness_from_states();
+        for (w, &(_, i)) in self.slot.iter().enumerate() {
+            if self.ready_at[i] != ready_at[i] {
+                errors.push(format!(
+                    "readiness: warp {w} cached ready_at {} but its state gives {}",
+                    self.ready_at[i], ready_at[i]
+                ));
+            }
+        }
+        for (s, (&cached, &actual)) in self.available.iter().zip(&available).enumerate() {
+            if cached != actual {
+                errors.push(format!(
+                    "readiness: scheduler {s} caches {cached} available warps, states give {actual}"
+                ));
+            }
+        }
+        if self.finished != finished {
+            errors.push(format!(
+                "readiness: {} warps cached as finished, states give {finished}",
+                self.finished
+            ));
+        }
         if let Err(e) = self.l1.validate() {
             errors.push(format!("l1: {e}"));
         }
@@ -1065,4 +1148,57 @@ fn merge_sectors(base: &CacheLine, sectors: &[Option<[u8; 32]>; 4]) -> CacheLine
         }
     }
     CacheLine::from_bytes(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::UncompressedPolicy;
+    use crate::testing::StridedKernel;
+
+    fn launched() -> Sm {
+        let config = GpuConfig::small();
+        let mut sm = Sm::new(0, &config);
+        sm.launch(&StridedKernel::new(8, 16, 64), &config);
+        sm
+    }
+
+    #[test]
+    fn set_state_keeps_readiness_caches_in_step() {
+        let mut sm = launched();
+        assert!(sm.structural_errors(&UncompressedPolicy).is_empty());
+        sm.set_state(3, WarpState::AtBarrier(5));
+        sm.set_state(4, WarpState::Finished);
+        let hit_data = WarpState::WaitingData {
+            until: 9,
+            pending_misses: 0,
+        };
+        sm.set_state(6, hit_data);
+        assert!(sm.structural_errors(&UncompressedPolicy).is_empty());
+        assert_eq!(sm.next_wake(), Some(0));
+        assert!(!sm.all_finished());
+        for w in 0..sm.warps.len() {
+            sm.set_state(w, WarpState::Finished);
+        }
+        assert!(sm.structural_errors(&UncompressedPolicy).is_empty());
+        assert_eq!(sm.next_wake(), None);
+        assert!(sm.all_finished());
+    }
+
+    #[test]
+    fn structural_errors_report_readiness_drift() {
+        let mut sm = launched();
+        let (_, i) = sm.slot[5];
+        sm.ready_at[i] = 42;
+        let errors = sm.structural_errors(&UncompressedPolicy);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].starts_with("readiness: warp 5 "), "{errors:?}");
+
+        // A state write that bypasses `set_state` leaves every cache stale.
+        let mut sm = launched();
+        sm.warps[2].state = WarpState::Finished;
+        let errors = sm.structural_errors(&UncompressedPolicy);
+        assert_eq!(errors.len(), 3, "{errors:?}");
+        assert!(errors.iter().all(|e| e.starts_with("readiness: ")));
+    }
 }

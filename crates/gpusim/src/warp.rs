@@ -25,6 +25,38 @@ pub enum WarpState {
     Finished,
 }
 
+impl WarpState {
+    /// The first cycle a warp in this state can issue, or `Cycles::MAX`
+    /// while it waits on a miss or a barrier or has finished. A
+    /// `BusyUntil` deadline counts as ready once reached (the transition
+    /// is lazy). The one readiness rule: [`Warp::is_ready`] and the SM's
+    /// per-warp ready-time array both derive from it.
+    #[must_use]
+    pub fn ready_at(self) -> Cycles {
+        match self {
+            WarpState::Ready => 0,
+            WarpState::BusyUntil(until) => until,
+            WarpState::WaitingData {
+                until,
+                pending_misses: 0,
+            } => until,
+            WarpState::WaitingData { .. } | WarpState::AtBarrier(_) | WarpState::Finished => {
+                Cycles::MAX
+            }
+        }
+    }
+
+    /// `true` while the warp has execution work (issuable now or busy
+    /// with compute) rather than being stalled on memory, a barrier, or
+    /// done. This is the "available warp" of the Eq. (4)
+    /// latency-tolerance estimate: such warps can absorb another warp's
+    /// decompression stall.
+    #[must_use]
+    pub fn is_available(self) -> bool {
+        matches!(self, WarpState::Ready | WarpState::BusyUntil(_))
+    }
+}
+
 /// One warp: its instruction stream plus scheduling state.
 pub struct Warp {
     /// Warp index within the SM.
@@ -39,7 +71,8 @@ pub struct Warp {
     pub outstanding_misses: u32,
     /// Latest completion time of in-flight async-load hits.
     pub data_ready_at: Cycles,
-    /// Current state.
+    /// Current state. Inside a simulation `Sm::set_state` is its only
+    /// writer, keeping the SM's readiness caches in step with it.
     pub state: WarpState,
     /// Instructions issued so far.
     pub instructions: u64,
@@ -61,28 +94,18 @@ impl Warp {
         }
     }
 
-    /// `true` when the warp can issue at `cycle`. A `BusyUntil` warp whose
-    /// deadline passed counts as ready (the transition is lazy).
+    /// `true` when the warp can issue at `cycle` (any cycle short of
+    /// `Cycles::MAX`); see [`WarpState::ready_at`].
     #[must_use]
     pub fn is_ready(&self, cycle: Cycles) -> bool {
-        match self.state {
-            WarpState::Ready => true,
-            WarpState::BusyUntil(until) => until <= cycle,
-            WarpState::WaitingData {
-                until,
-                pending_misses,
-            } => pending_misses == 0 && until <= cycle,
-            _ => false,
-        }
+        self.state.ready_at() <= cycle
     }
 
-    /// `true` while the warp has execution work (issuable now or busy with
-    /// compute) rather than being stalled on memory, a barrier, or done.
-    /// This is the "available warp" of the Eq. (4) latency-tolerance
-    /// estimate: such warps can absorb another warp's decompression stall.
+    /// `true` while the warp has execution work; see
+    /// [`WarpState::is_available`].
     #[must_use]
     pub fn is_available(&self) -> bool {
-        matches!(self.state, WarpState::Ready | WarpState::BusyUntil(_))
+        self.state.is_available()
     }
 
     /// `true` once the warp executed its final op.
@@ -140,6 +163,26 @@ mod tests {
         w.state = WarpState::Finished;
         assert!(!w.is_ready(100));
         assert!(w.is_finished());
+    }
+
+    #[test]
+    fn ready_at_and_availability_per_state() {
+        let waiting = |pending_misses| WarpState::WaitingData {
+            until: 5,
+            pending_misses,
+        };
+        let cases = [
+            (WarpState::Ready, 0, true),
+            (WarpState::BusyUntil(7), 7, true),
+            (waiting(0), 5, false),
+            (waiting(2), Cycles::MAX, false),
+            (WarpState::AtBarrier(3), Cycles::MAX, false),
+            (WarpState::Finished, Cycles::MAX, false),
+        ];
+        for (state, ready_at, available) in cases {
+            assert_eq!(state.ready_at(), ready_at, "{state:?}");
+            assert_eq!(state.is_available(), available, "{state:?}");
+        }
     }
 
     #[test]
