@@ -65,7 +65,8 @@ fn usage() -> ! {
     eprintln!("                         for every n)");
     eprintln!("  --sim-threads <n>      shard each simulation's SMs across n worker threads");
     eprintln!("                         behind a deterministic epoch barrier (default 1 = the");
-    eprintln!("                         serial loop; results are byte-identical for every n)");
+    eprintln!("                         one-shard inline run; results are byte-identical for");
+    eprintln!("                         every n)");
     eprintln!("  --inject <rate>        flip one bit per compressed L1 hit with this probability");
     eprintln!("  --inject-fill <rate>   flip one bit per L2/DRAM fill return with this probability");
     eprintln!("  --inject-wakeup-drop <rate>");

@@ -17,16 +17,17 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Process-wide intra-simulation thread count, set from the
-/// `--sim-threads` command-line flag (default 1 = the serial loop).
-/// Unlike the write-once [`FAULT_INJECTION`] style globals this is a
-/// plain atomic: the epoch-barrier loop is byte-identical to the serial
-/// one for every value, so flipping it mid-process (as the determinism
-/// tests do) can never change a result — only how fast it arrives.
+/// `--sim-threads` command-line flag (default 1 = the one-shard inline
+/// run). Unlike the write-once [`FAULT_INJECTION`] style globals this is
+/// a plain atomic: the epoch-barrier shards are byte-identical to the
+/// one-shard inline run for every value, so flipping it mid-process
+/// (as the determinism tests do) can never change a result — only how
+/// fast it arrives.
 static SIM_THREADS: AtomicUsize = AtomicUsize::new(1);
 
 /// Sets the worker-thread count each simulation's cycle loop uses
 /// (`--sim-threads`). Values are clamped per-config by the simulator;
-/// `0`/`1` mean the unchanged serial path.
+/// `0`/`1` mean the one-shard inline run.
 pub fn set_sim_threads(n: usize) {
     SIM_THREADS.store(n.max(1), Ordering::SeqCst);
 }

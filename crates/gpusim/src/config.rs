@@ -82,10 +82,10 @@ pub struct GpuConfig {
     pub faults: Option<FaultConfig>,
     /// Worker threads for intra-simulation SM parallelism (the epoch
     /// barrier, see `crates/gpusim/src/parallel.rs`). `1` (the default)
-    /// takes the unchanged serial loop; any other value produces
+    /// takes the one-shard inline run; any other value produces
     /// byte-identical results, so this knob is deliberately **excluded**
     /// from [`GpuConfig::fingerprint`] — memoized and stored results
-    /// transfer freely between serial and parallel runs.
+    /// transfer freely between one-shard and sharded runs.
     pub sim_threads: usize,
 }
 
@@ -196,9 +196,10 @@ impl GpuConfig {
             }
         }
         // `sim_threads` is deliberately NOT folded in: the epoch-barrier
-        // parallel loop is byte-identical to the serial one, so the thread
-        // count cannot change results and must not fragment the memo/store
-        // key space (a warm serial store must satisfy a parallel run).
+        // shards are byte-identical to the one-shard inline run, so the
+        // thread count cannot change results and must not fragment the
+        // memo/store key space (a warm one-shard store must satisfy a
+        // sharded run).
         fp.finish()
     }
 }
@@ -299,10 +300,10 @@ mod tests {
 
     #[test]
     fn sim_threads_is_excluded_from_the_fingerprint() {
-        // The epoch-barrier loop is byte-identical to the serial one, so
-        // the thread count must NOT fragment the memo/store key space:
-        // a warm serial result has to satisfy a parallel run and vice
-        // versa. This pin is load-bearing — folding `sim_threads` into
+        // The epoch-barrier shards are byte-identical to the one-shard
+        // inline run, so the thread count must NOT fragment the
+        // memo/store key space: a warm one-shard result has to satisfy
+        // a sharded run and vice versa. This pin is load-bearing — folding `sim_threads` into
         // `fingerprint()` would silently invalidate every stored result.
         let base = GpuConfig::paper();
         for n in [0, 2, 4, 64] {

@@ -1,12 +1,19 @@
-//! Deterministic intra-simulation parallelism (`GpuConfig::sim_threads`).
+//! The cycle-stepping core and its deterministic intra-simulation
+//! parallelism (`GpuConfig::sim_threads`).
 //!
-//! Shards of `(Sm, policy)` pairs simulate independently on worker
-//! threads for bounded *epochs*; at each epoch barrier a single arbiter
-//! drains every shard's buffered L2 traffic through the real shared
-//! cache in a fixed total order and routes the resulting completions
-//! back to the owning shards. The result is **byte-identical** to the
-//! serial loop — every counter, trace line, shadow call and termination
-//! cycle — which the determinism suite pins.
+//! Every kernel steps as *shards* of `(Sm, policy)` pairs under one
+//! advance rule ([`Shard::next_candidate`], [`Shard::process_cycle`]).
+//! At one effective thread, a single shard holds every SM and steps on
+//! the calling thread with an inline sink: the real L2, backing-store
+//! image and shadow hook, touched in emission order. This one-shard
+//! inline run is the reference semantics. At two or more, shards
+//! simulate independently on worker threads for bounded *epochs*; at
+//! each epoch barrier a single arbiter drains every shard's buffered L2
+//! traffic through the real shared cache in a fixed total order and
+//! routes the resulting completions back to the owning shards. The
+//! result is **byte-identical** to the one-shard inline run — every
+//! counter, trace line, shadow call and termination cycle — which the
+//! determinism suite pins.
 //!
 //! # Why byte-identity holds
 //!
@@ -14,39 +21,40 @@
 //!   simulated cycles. Every shared-memory round trip takes ≥ Δ cycles,
 //!   so a request issued inside an epoch cannot complete — and therefore
 //!   cannot influence any SM — before the epoch ends. Within an epoch
-//!   the shards are fully independent. (`Δ == 0` forces the serial
-//!   path; see [`effective_threads`].)
+//!   the shards are fully independent. (`Δ == 0` forces the one-shard
+//!   run; see [`effective_threads`].)
 //! * **Total order at the barrier.** Each SM performs at most one L2
-//!   access per cycle (the single LD/ST port), and the serial loop
+//!   access per cycle (the single LD/ST port), and the one-shard run
 //!   issues SMs in id order within a cycle, so sorting buffered requests
-//!   by `(cycle, sm, seq)` replays the serial L2 access order exactly —
+//!   by `(cycle, phase, sm, seq)` replays its L2 access order exactly —
 //!   preserving the cache's internal LRU clock and hit/miss statistics.
+//!   Both sides apply the same rule, [`SharedMem::access_l2`].
 //! * **Self-targeted events.** Every event an SM pushes targets itself
 //!   (fill retries, write-allocate fetches), so per-shard event heaps
-//!   pop the same per-SM subsequences as the global serial heap, and
+//!   pop the same per-SM subsequences as the one-shard heap, and
 //!   arbiter-generated completions land at cycles ≥ the epoch end.
 //! * **Idle equivalence.** A scheduler swept with nothing ready behaves
 //!   identically to `account_idle_cycles(1, available)`, and an SM's
 //!   per-scheduler available-warp counters change only when a warp
 //!   changes state (`Sm::set_state`), which never happens inside an idle
-//!   gap, so shards only need to process their own "interesting" cycles
-//!   — the same fast-forward the serial loop does.
-//! * **Shadow replay.** Shards record oracle calls into a local buffer;
-//!   the barrier replays them into the real hook sorted by
+//!   gap, so every shard only needs to process its own "interesting"
+//!   cycles — the fast-forward the advance rule encodes.
+//! * **Shadow replay.** Worker shards record oracle calls into a local
+//!   buffer; the barrier replays them into the real hook sorted by
 //!   `(cycle, phase, sm, seq)` (fills before issues within a cycle),
-//!   which is exactly the serial call order.
+//!   which is exactly the one-shard run's call order.
 //!
 //! The thread count is *excluded* from the config fingerprint: it cannot
 //! change results, so memoized/stored results transfer freely between
-//! serial and parallel runs.
+//! one-shard and sharded runs.
 
 use crate::config::GpuConfig;
 use crate::ops::Kernel;
 use crate::policy::L1CompressionPolicy;
 use crate::shadow::{ShadowCheck, ShadowCheckpoint};
-use crate::sm::{L2Buffer, L2Port, L2RequestKind, MemCtx, MemEvent, MemImage, Sm};
+use crate::sm::{L2Buffer, L2Port, L2RequestKind, MemCtx, MemEvent, SharedMem, Sm};
 use crate::stats::{KernelStats, TerminationReason};
-use latte_cache::{LineAddr, SimpleCache};
+use latte_cache::LineAddr;
 use latte_compress::{CacheLine, Cycles};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -94,7 +102,7 @@ pub const ARBITER_SHARED_FIELDS: &[(&str, &str)] = &[
 /// the result store and must stay a pure function of the inputs).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EpochStats {
-    /// Barrier rounds run (0 after a serial run).
+    /// Barrier rounds run (0 after a one-shard run).
     pub epochs: u64,
     /// Total simulated cycles covered by those epochs.
     pub advanced_cycles: u64,
@@ -146,7 +154,7 @@ impl EpochStats {
 /// (a zero-latency L2 *and* DRAM leaves no window in which shards are
 /// independent).
 #[must_use]
-pub(crate) fn effective_threads(config: &GpuConfig) -> usize {
+fn effective_threads(config: &GpuConfig) -> usize {
     let delta = config.l2_latency.min(config.dram_latency);
     if delta == 0 {
         return 1;
@@ -154,13 +162,21 @@ pub(crate) fn effective_threads(config: &GpuConfig) -> usize {
     config.sim_threads.max(1).min(config.num_sms.max(1))
 }
 
-/// What the parallel loop hands back to [`crate::Gpu::run_kernel`].
+/// What the cycle loop hands back to [`crate::Gpu::run_kernel`].
 pub(crate) struct Outcome {
-    /// Final processed cycle (the serial loop's `cycle` at its break).
+    /// Final processed cycle.
     pub cycle: Cycles,
     /// Early-termination reason to run the watchdog audit with, if any.
     pub fallback: Option<TerminationReason>,
 }
+
+/// A worker channel died mid-run. Unreachable in practice: the only
+/// cause is a worker panic, which `thread::scope` re-raises before this
+/// value can be observed.
+const WORKER_LOST: Outcome = Outcome {
+    cycle: 0,
+    fallback: Some(TerminationReason::FaultAbort),
+};
 
 /// One recorded oracle call, tagged with its deterministic replay key.
 enum ShadowCall {
@@ -172,8 +188,8 @@ enum ShadowCall {
 
 struct ShadowRecord {
     cycle: Cycles,
-    /// 0 = delivery phase, 1 = issue phase; the serial loop delivers
-    /// before issuing within a cycle.
+    /// 0 = delivery phase, 1 = issue phase; every cycle delivers
+    /// before it issues.
     phase: u8,
     sm: usize,
     /// Emission order within this recorder (ties inside one phase of one
@@ -183,14 +199,14 @@ struct ShadowRecord {
 }
 
 /// Shard-local [`ShadowCheck`] implementation: buffers every call with
-/// its replay key instead of touching the real (single-threaded) hook.
+/// its replay key instead of touching the real hook from a worker.
 ///
 /// The replay phase is a recorder *state* set by `process_cycle`, not a
 /// property of the call kind: fills happen only at delivery and
 /// loads/checkpoints only at issue, but a store call fires in either —
 /// at issue for a store hit, at delivery when a fill merges a pending
-/// write-allocate store — and must replay exactly where the serial loop
-/// would have made it.
+/// write-allocate store — and must replay exactly where the one-shard
+/// run makes it.
 #[derive(Default)]
 struct ShadowRecorder {
     records: Vec<ShadowRecord>,
@@ -263,45 +279,141 @@ struct ShardUnit {
     policy: Box<dyn L1CompressionPolicy>,
 }
 
+/// Where a shard's shared-L2 traffic and oracle calls go.
+enum Sink<'a> {
+    /// The one-shard run: the real shared memory and shadow hook, touched
+    /// inline in emission order on the calling thread.
+    Inline {
+        mem: &'a mut SharedMem,
+        shadow: Option<&'a mut (dyn ShadowCheck + 'static)>,
+    },
+    /// A worker shard: traffic and oracle calls buffer shard-locally
+    /// until the barrier arbiter and the shadow replay drain them.
+    Deferred {
+        buffer: L2Buffer,
+        /// Present iff the run is shadow-checked.
+        recorder: Option<ShadowRecorder>,
+    },
+}
+
+impl Sink<'_> {
+    /// Sets the replay phase of recorded oracle calls (0 = delivery,
+    /// 1 = issue); inline calls need none.
+    fn set_phase(&mut self, phase: u8) {
+        if let Sink::Deferred {
+            recorder: Some(recorder),
+            ..
+        } = self
+        {
+            recorder.phase = phase;
+        }
+    }
+
+    /// Whether a load fill waits in the buffer for the arbiter. Inline,
+    /// the access has already pushed its completion into the heap.
+    fn fill_pending(&self) -> bool {
+        match self {
+            Sink::Inline { .. } => false,
+            Sink::Deferred { buffer, .. } => buffer
+                .requests
+                .iter()
+                .any(|r| matches!(r.kind, L2RequestKind::LoadFill { .. })),
+        }
+    }
+}
+
+/// Everything a shard's SMs step against apart from the SMs themselves,
+/// split off so a [`MemCtx`] can borrow it while one SM steps.
+struct ShardEnv<'a> {
+    /// Shard-private completion heap (every SM event is self-targeted).
+    events: BinaryHeap<Reverse<MemEvent>>,
+    sink: Sink<'a>,
+    /// Shard-local counters, merged into the launch totals at the end.
+    stats: KernelStats,
+    kernel: &'a dyn Kernel,
+    config: &'a GpuConfig,
+    shadow_every: u64,
+}
+
+impl ShardEnv<'_> {
+    /// The context one SM steps with.
+    fn ctx<'c>(&'c mut self, policy: &'c mut dyn L1CompressionPolicy) -> MemCtx<'c> {
+        let (l2, shadow) = match &mut self.sink {
+            Sink::Inline { mem, shadow } => (L2Port::Direct(mem), shadow.as_deref_mut()),
+            Sink::Deferred { buffer, recorder } => (
+                L2Port::Deferred(buffer),
+                recorder
+                    .as_mut()
+                    .map(|r| r as &mut (dyn ShadowCheck + 'static)),
+            ),
+        };
+        MemCtx {
+            l2,
+            events: &mut self.events,
+            policy,
+            kernel: self.kernel,
+            config: self.config,
+            stats: &mut self.stats,
+            shadow,
+            shadow_every: self.shadow_every,
+        }
+    }
+}
+
 /// A contiguous slice of the machine's SMs plus everything they need to
-/// simulate an epoch without touching shared state.
-struct Shard<'k> {
+/// step: all of them in the one-shard run, one worker's share otherwise.
+struct Shard<'a> {
     /// First SM id in this shard (ids are contiguous).
     base: usize,
     units: Vec<ShardUnit>,
-    /// Shard-private completion heap (every SM event is self-targeted).
-    events: BinaryHeap<Reverse<MemEvent>>,
-    /// Deferred shared-L2 traffic for the barrier arbiter.
-    buffer: L2Buffer,
-    /// Present iff the run is shadow-checked.
-    recorder: Option<ShadowRecorder>,
-    /// Shard-local counters, merged into the launch totals at the end.
-    stats: KernelStats,
+    env: ShardEnv<'a>,
     /// Last processed cycle (`None` before cycle 0 runs).
     last: Option<Cycles>,
     /// Whether the last processed cycle issued any instruction.
     issued_last: bool,
     /// Cycle at which this shard went locally quiescent, if it has.
     done_at: Option<Cycles>,
-    kernel: &'k dyn Kernel,
-    config: &'k GpuConfig,
-    shadow_every: u64,
 }
 
-impl Shard<'_> {
-    /// The next cycle this shard would process — the exact analogue of
-    /// the serial loop's advance rule, restricted to this shard's SMs.
-    /// `None` means stuck: nothing pending, not all finished (revivable
-    /// only by an arbiter completion; otherwise a deadlock).
+impl<'a> Shard<'a> {
+    fn new(
+        units: Vec<ShardUnit>,
+        sink: Sink<'a>,
+        kernel: &'a dyn Kernel,
+        config: &'a GpuConfig,
+        shadow_every: u64,
+    ) -> Self {
+        Shard {
+            base: units.first().map_or(0, |u| u.sm.id),
+            units,
+            env: ShardEnv {
+                events: BinaryHeap::new(),
+                sink,
+                stats: KernelStats::default(),
+                kernel,
+                config,
+                shadow_every,
+            },
+            last: None,
+            issued_last: false,
+            done_at: None,
+        }
+    }
+
+    /// The next cycle this shard would process — the advance rule:
+    /// the next cycle after one that issued, else the earliest pending
+    /// completion or warp wake-up. `None` means stuck: nothing pending,
+    /// not all finished (revivable only by an arbiter completion;
+    /// otherwise a deadlock).
     fn next_candidate(&self) -> Option<Cycles> {
         let Some(last) = self.last else {
-            // Cycle 0 is processed unconditionally, as in the serial loop.
+            // Cycle 0 is processed unconditionally.
             return Some(0);
         };
         if self.issued_last {
             return Some(last + 1);
         }
-        let next_event = self.events.peek().map(|&Reverse(e)| e.cycle);
+        let next_event = self.env.events.peek().map(|&Reverse(e)| e.cycle);
         let next_wake = self.units.iter().filter_map(|u| u.sm.next_wake()).min();
         let target = match (next_event, next_wake) {
             (Some(a), Some(b)) => a.min(b),
@@ -312,30 +424,33 @@ impl Shard<'_> {
         Some(target.max(last + 1))
     }
 
-    /// Local quiescence. Buffered load-fill requests count as pending
-    /// work: a fire-and-forget store's write-allocate fill leaves no
-    /// blocked warp behind, so without this term a shard would declare
-    /// itself done while the fill (and its eventual dirty write-back)
-    /// is still waiting for the barrier arbiter. The serial loop gets
-    /// this for free — `L2Port::Direct` pushes the completion into the
-    /// global heap before the `done` check ever runs. Buffered stores
-    /// and write-backs do NOT block doneness: they produce no
-    /// completion event, the arbiter drains every shard's buffer
-    /// regardless of `done_at`, and the serial loop likewise observes
-    /// `done` on the very cycle it processes them inline.
-    fn is_done(&self) -> bool {
-        self.units.iter().all(|u| u.sm.all_finished())
-            && self.events.is_empty()
-            && !self
-                .buffer
-                .requests
-                .iter()
-                .any(|r| matches!(r.kind, L2RequestKind::LoadFill { .. }))
+    /// The cycle a deadlocked run stops at, as far as this shard can
+    /// tell: one past its last cycle if that cycle issued (the run
+    /// coasts there and finds nothing to do), else its last cycle.
+    fn coast_cycle(&self) -> Cycles {
+        self.last.unwrap_or(0) + u64::from(self.issued_last)
     }
 
-    /// Processes one cycle exactly as the serial loop would for these
-    /// SMs: account the idle gap, deliver due local completions, issue
-    /// every SM in id order, then note quiescence.
+    /// Local quiescence. A buffered load-fill request counts as pending
+    /// work: a fire-and-forget store's write-allocate fill leaves no
+    /// blocked warp behind, so without this term a worker shard would
+    /// declare itself done while the fill (and its eventual dirty
+    /// write-back) is still waiting for the barrier arbiter. The inline
+    /// sink needs no such term — its access pushes the completion into
+    /// the heap before the check runs. Buffered stores and write-backs
+    /// do NOT block doneness: they produce no completion event, the
+    /// arbiter drains every shard's buffer regardless of `done_at`, and
+    /// the inline run likewise observes `done` on the very cycle it
+    /// performs them.
+    fn is_done(&self) -> bool {
+        self.units.iter().all(|u| u.sm.all_finished())
+            && self.env.events.is_empty()
+            && !self.env.sink.fill_pending()
+    }
+
+    /// Processes one cycle for these SMs: account the idle gap, deliver
+    /// due local completions, issue every SM in id order, then note
+    /// quiescence.
     fn process_cycle(&mut self, cycle: Cycles) {
         if let Some(last) = self.last {
             let skipped = cycle - last - 1;
@@ -345,52 +460,25 @@ impl Shard<'_> {
                 }
             }
         }
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.phase = 0;
-        }
-        while let Some(&Reverse(ev)) = self.events.peek() {
+        self.env.sink.set_phase(0);
+        while let Some(&Reverse(ev)) = self.env.events.peek() {
             if ev.cycle > cycle {
                 break;
             }
-            self.events.pop();
+            self.env.events.pop();
             let unit = &mut self.units[ev.sm - self.base];
-            let mut ctx = MemCtx {
-                l2: L2Port::Deferred(&mut self.buffer),
-                events: &mut self.events,
-                policy: unit.policy.as_mut(),
-                kernel: self.kernel,
-                config: self.config,
-                stats: &mut self.stats,
-                shadow: self
-                    .recorder
-                    .as_mut()
-                    .map(|r| r as &mut (dyn ShadowCheck + 'static)),
-                shadow_every: self.shadow_every,
-            };
+            let mut ctx = self.env.ctx(unit.policy.as_mut());
             unit.sm
                 .handle_fill(ev.addr, ev.cycle.max(cycle), ev.verified, ev.data, &mut ctx);
         }
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.phase = 1;
-        }
+        self.env.sink.set_phase(1);
         let mut issued = 0;
         for unit in &mut self.units {
-            let mut ctx = MemCtx {
-                l2: L2Port::Deferred(&mut self.buffer),
-                events: &mut self.events,
-                policy: unit.policy.as_mut(),
-                kernel: self.kernel,
-                config: self.config,
-                stats: &mut self.stats,
-                shadow: self
-                    .recorder
-                    .as_mut()
-                    .map(|r| r as &mut (dyn ShadowCheck + 'static)),
-                shadow_every: self.shadow_every,
-            };
-            issued += unit.sm.issue_cycle(cycle, &mut ctx);
+            issued += unit
+                .sm
+                .issue_cycle(cycle, &mut self.env.ctx(unit.policy.as_mut()));
         }
-        self.stats.instructions += issued;
+        self.env.stats.instructions += issued;
         self.last = Some(cycle);
         self.issued_last = issued > 0;
         if self.done_at.is_none() && self.is_done() {
@@ -401,7 +489,7 @@ impl Shard<'_> {
     /// Simulates until the epoch end, the cycle limit, quiescence, or a
     /// stuck state — whichever comes first.
     fn run_epoch(&mut self, epoch_end: Cycles) {
-        let limit = self.config.max_cycles_per_kernel;
+        let limit = self.env.config.max_cycles_per_kernel;
         while self.done_at.is_none() {
             let Some(cycle) = self.next_candidate() else {
                 return;
@@ -412,105 +500,133 @@ impl Shard<'_> {
             self.process_cycle(cycle);
         }
     }
+
+    /// The one-shard run: steps every SM on the calling thread, with no
+    /// epochs and no barrier, until quiescence, a stuck state (a
+    /// deadlock) or the first cycle at or past the cycle limit, which
+    /// is processed before the run stops.
+    fn run_to_end(&mut self) -> Outcome {
+        let limit = self.env.config.max_cycles_per_kernel;
+        self.run_epoch(limit);
+        if let Some(cycle) = self.done_at {
+            return Outcome {
+                cycle,
+                fallback: None,
+            };
+        }
+        let Some(cycle) = self.next_candidate() else {
+            return Outcome {
+                cycle: self.coast_cycle(),
+                fallback: Some(TerminationReason::Deadlock),
+            };
+        };
+        self.process_cycle(cycle);
+        Outcome {
+            cycle,
+            fallback: self.done_at.is_none().then_some(TerminationReason::CycleLimit),
+        }
+    }
+
+    /// Hands the SMs and policies back in id order and folds this
+    /// shard's counters into the launch totals.
+    fn restore(
+        self,
+        sms: &mut Vec<Sm>,
+        policies: &mut Vec<Box<dyn L1CompressionPolicy>>,
+        stats: &mut KernelStats,
+    ) {
+        merge_counters(stats, self.env.stats);
+        for unit in self.units {
+            sms.push(unit.sm);
+            policies.push(unit.policy);
+        }
+    }
 }
 
 /// One unit of work shipped to a worker: the shard plus its epoch bound;
 /// the worker fills in its busy time on the way back.
-struct EpochJob<'k> {
-    shard: Box<Shard<'k>>,
+struct EpochJob<'a> {
+    shard: Box<Shard<'a>>,
     epoch_end: Cycles,
     busy_ns: u64,
 }
 
-/// How the coordinator loop ended.
-enum LoopExit {
-    Finished {
-        cycle: Cycles,
-        fallback: Option<TerminationReason>,
-    },
-    /// A worker channel died mid-run. Unreachable in practice: the only
-    /// cause is a worker panic, which `thread::scope` re-raises before
-    /// this value can be observed.
-    WorkerLost,
+/// Folds shard-locally accumulated counters into the launch totals.
+/// The pattern is exhaustive so a new `KernelStats` field cannot be
+/// forgotten here: the fields bound to `_` are set by the caller's
+/// epilogue.
+fn merge_counters(into: &mut KernelStats, from: KernelStats) {
+    let KernelStats {
+        cycles: _,
+        instructions,
+        l1: _,
+        l2: _,
+        dram_accesses,
+        loads,
+        stores,
+        writebacks,
+        compressions,
+        decompressions,
+        mshr_stalls,
+        hit_wait_cycles,
+        miss_wait_cycles,
+        barrier_wait_cycles: _,
+        eps_completed,
+        decompression_queue_wait,
+        traces,
+        timed_out: _,
+        termination: _,
+        faults,
+    } = from;
+    into.instructions += instructions;
+    into.dram_accesses += dram_accesses;
+    into.loads += loads;
+    into.stores += stores;
+    into.writebacks += writebacks;
+    into.compressions += compressions;
+    into.decompressions += decompressions;
+    into.mshr_stalls += mshr_stalls;
+    into.hit_wait_cycles += hit_wait_cycles;
+    into.miss_wait_cycles += miss_wait_cycles;
+    into.eps_completed += eps_completed;
+    into.decompression_queue_wait += decompression_queue_wait;
+    into.traces.extend(traces);
+    into.faults += faults;
 }
 
-/// Folds the shard-locally accumulated counters into the launch totals.
-/// Only the counters SM stepping code touches are listed; `cycles`,
-/// `l1`/`l2`, `barrier_wait_cycles` and the termination fields are set
-/// by the caller's epilogue, exactly as after a serial run.
-fn merge_counters(into: &mut KernelStats, from: &KernelStats) {
-    into.instructions += from.instructions;
-    into.dram_accesses += from.dram_accesses;
-    into.loads += from.loads;
-    into.stores += from.stores;
-    into.compressions += from.compressions;
-    into.decompressions += from.decompressions;
-    into.mshr_stalls += from.mshr_stalls;
-    into.hit_wait_cycles += from.hit_wait_cycles;
-    into.miss_wait_cycles += from.miss_wait_cycles;
-    into.eps_completed += from.eps_completed;
-    into.decompression_queue_wait += from.decompression_queue_wait;
-    into.traces.extend(from.traces.iter().copied());
-    into.writebacks += from.writebacks;
-    into.faults += from.faults;
-}
-
-/// Drains every shard's buffered L2 traffic through the real cache in
-/// the serial total order — `(cycle, phase, sm, seq)` — updating the
-/// launch stats and routing load-fill completions into the owning
-/// shard's heap. The `phase` key exists for the write-back path: dirty
-/// evictions at fill delivery reach the L2 in the serial loop's delivery
-/// sweep (phase 0), before any of that cycle's issued traffic (phase 1).
+/// Drains every shard's buffered L2 traffic through
+/// [`SharedMem::access_l2`] in the one-shard run's total order —
+/// `(cycle, phase, sm, seq)` — updating the launch stats and routing
+/// load-fill completions into the owning shard's heap. The `phase` key
+/// exists for the write-back path: dirty evictions at fill delivery
+/// reach the L2 in a cycle's delivery sweep (phase 0), before any of
+/// that cycle's issued traffic (phase 1).
 fn arbitrate(
     shards: &mut [Option<Box<Shard<'_>>>],
     chunk: usize,
-    l2: &mut SimpleCache,
-    image: &mut MemImage,
+    mem: &mut SharedMem,
     config: &GpuConfig,
     stats: &mut KernelStats,
 ) {
     let mut requests = Vec::new();
     for shard in shards.iter_mut().flatten() {
-        requests.append(&mut shard.buffer.requests);
+        if let Sink::Deferred { buffer, .. } = &mut shard.env.sink {
+            requests.append(&mut buffer.requests);
+        }
     }
     requests.sort_unstable_by_key(|r| (r.cycle, r.phase, r.sm, r.seq));
     for req in requests {
-        match req.kind {
-            L2RequestKind::Store => {
-                if !l2.access_and_fill(req.addr) {
-                    stats.dram_accesses += 1;
-                }
-            }
-            L2RequestKind::WriteBack { data } => {
-                image.insert(req.addr, data);
-                if !l2.access_and_fill(req.addr) {
-                    stats.dram_accesses += 1;
-                }
-            }
-            L2RequestKind::LoadFill { spike } => {
-                let mut latency = if l2.access_and_fill(req.addr) {
-                    config.l2_latency
-                } else {
-                    stats.dram_accesses += 1;
-                    config.dram_latency
-                };
-                latency += spike;
-                if let Some(shard) = shards.get_mut(req.sm / chunk).and_then(Option::as_mut) {
-                    shard.events.push(Reverse(MemEvent {
-                        cycle: req.cycle + latency,
-                        sm: req.sm,
-                        addr: req.addr,
-                        verified: false,
-                        data: image.get(&req.addr).copied(),
-                    }));
-                }
-            }
+        let Some(ev) = mem.access_l2(config, stats, req.cycle, req.sm, req.addr, req.kind) else {
+            continue;
+        };
+        if let Some(shard) = shards.get_mut(req.sm / chunk).and_then(Option::as_mut) {
+            shard.env.events.push(Reverse(ev));
         }
     }
 }
 
 /// Replays every shard's recorded oracle calls into the real hook in the
-/// serial call order: `(cycle, phase, sm, seq)`.
+/// one-shard run's call order: `(cycle, phase, sm, seq)`.
 fn replay_shadow(
     shards: &mut [Option<Box<Shard<'_>>>],
     shadow: &mut Option<&mut (dyn ShadowCheck + 'static)>,
@@ -520,7 +636,11 @@ fn replay_shadow(
     };
     let mut records = Vec::new();
     for shard in shards.iter_mut().flatten() {
-        if let Some(recorder) = shard.recorder.as_mut() {
+        if let Sink::Deferred {
+            recorder: Some(recorder),
+            ..
+        } = &mut shard.env.sink
+        {
             records.append(&mut recorder.records);
         }
     }
@@ -543,58 +663,52 @@ fn replay_shadow(
     }
 }
 
-/// Runs the kernel's cycle loop across `threads` shards of SMs with a
-/// deterministic epoch barrier. On return, `sms`/`policies` are restored
-/// in id order and `stats` holds the same counters a serial run would
-/// have produced; the caller runs the common epilogue.
+/// Runs the kernel's cycle loop. At one effective thread (see
+/// [`effective_threads`]) a single shard steps every SM on the calling
+/// thread against the real shared memory and shadow hook; otherwise
+/// shards of SMs step on worker threads behind a deterministic epoch
+/// barrier. On return, `sms`/`policies` are restored in id order and
+/// `stats` holds every counter the SMs accumulated; the caller runs the
+/// common epilogue.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_cycles<'k>(
-    threads: usize,
+pub(crate) fn run_cycles<'a>(
     sms: &mut Vec<Sm>,
     policies: &mut Vec<Box<dyn L1CompressionPolicy>>,
-    l2: &mut SimpleCache,
-    image: &mut MemImage,
-    mut shadow: Option<&mut (dyn ShadowCheck + 'static)>,
+    mem: &'a mut SharedMem,
+    mut shadow: Option<&'a mut (dyn ShadowCheck + 'static)>,
     shadow_every: u64,
-    config: &'k GpuConfig,
-    kernel: &'k dyn Kernel,
+    config: &'a GpuConfig,
+    kernel: &'a dyn Kernel,
     stats: &mut KernelStats,
     epoch_stats: &mut EpochStats,
 ) -> Outcome {
-    let delta = config.l2_latency.min(config.dram_latency);
-    let limit = config.max_cycles_per_kernel;
-    let total = sms.len();
-    let chunk = total.div_ceil(threads).max(1);
-    let shadowed = shadow.is_some();
-
-    // Move the SMs and their policies into contiguous shards.
-    let mut drained: Vec<ShardUnit> = sms
+    let threads = effective_threads(config);
+    let mut units: Vec<ShardUnit> = sms
         .drain(..)
         .zip(policies.drain(..))
         .map(|(sm, policy)| ShardUnit { sm, policy })
         .collect();
-    let mut shards: Vec<Option<Box<Shard<'k>>>> = Vec::with_capacity(total.div_ceil(chunk));
-    while !drained.is_empty() {
-        let tail = if drained.len() > chunk {
-            drained.split_off(chunk)
-        } else {
-            Vec::new()
-        };
-        let units = std::mem::replace(&mut drained, tail);
-        shards.push(Some(Box::new(Shard {
-            base: units.first().map_or(0, |u| u.sm.id),
-            units,
-            events: BinaryHeap::new(),
+    if threads == 1 {
+        let sink = Sink::Inline { mem, shadow };
+        let mut shard = Shard::new(units, sink, kernel, config, shadow_every);
+        let outcome = shard.run_to_end();
+        shard.restore(sms, policies, stats);
+        return outcome;
+    }
+
+    // Split the SMs and their policies into contiguous shards.
+    let delta = config.l2_latency.min(config.dram_latency);
+    let limit = config.max_cycles_per_kernel;
+    let chunk = units.len().div_ceil(threads);
+    let mut shards: Vec<Option<Box<Shard<'a>>>> = Vec::with_capacity(threads);
+    while !units.is_empty() {
+        let rest = units.split_off(chunk.min(units.len()));
+        let sink = Sink::Deferred {
             buffer: L2Buffer::default(),
-            recorder: shadowed.then(ShadowRecorder::default),
-            stats: KernelStats::default(),
-            last: None,
-            issued_last: false,
-            done_at: None,
-            kernel,
-            config,
-            shadow_every,
-        })));
+            recorder: shadow.is_some().then(ShadowRecorder::default),
+        };
+        let part = std::mem::replace(&mut units, rest);
+        shards.push(Some(Box::new(Shard::new(part, sink, kernel, config, shadow_every))));
     }
     let workers = shards.len();
     let mut busy = vec![0u64; workers];
@@ -603,12 +717,12 @@ pub(crate) fn run_cycles<'k>(
     let mut max_advance = 0u64;
     let mut prev_start: Option<Cycles> = None;
 
-    let exit = std::thread::scope(|scope| {
+    let outcome = std::thread::scope(|scope| {
         let mut to_worker = Vec::with_capacity(workers);
         let mut from_worker = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let (job_tx, job_rx) = mpsc::channel::<EpochJob<'k>>();
-            let (res_tx, res_rx) = mpsc::channel::<EpochJob<'k>>();
+            let (job_tx, job_rx) = mpsc::channel::<EpochJob<'a>>();
+            let (res_tx, res_rx) = mpsc::channel::<EpochJob<'a>>();
             scope.spawn(move || {
                 while let Ok(mut job) = job_rx.recv() {
                     let start = now_ns();
@@ -641,25 +755,23 @@ pub(crate) fn run_cycles<'k>(
             if running.is_empty() {
                 let live = || shards.iter().flatten();
                 if any_stuck {
-                    // Workload deadlock: the serial loop would coast to
+                    // Workload deadlock: the one-shard run would coast to
                     // one cycle past the last issuing cycle and bail.
-                    let cycle = live()
-                        .map(|s| s.last.unwrap_or(0) + u64::from(s.issued_last))
-                        .max()
-                        .unwrap_or(0);
-                    return LoopExit::Finished {
-                        cycle,
+                    return Outcome {
+                        cycle: live().map(|s| s.coast_cycle()).max().unwrap_or(0),
                         fallback: Some(TerminationReason::Deadlock),
                     };
                 }
-                let cycle = live().filter_map(|s| s.done_at).max().unwrap_or(0);
-                return LoopExit::Finished { cycle, fallback: None };
+                return Outcome {
+                    cycle: live().filter_map(|s| s.done_at).max().unwrap_or(0),
+                    fallback: None,
+                };
             }
 
             let epoch_start = running.iter().map(|&(_, c)| c).min().unwrap_or(0);
             if epoch_start >= limit {
-                // Cycle-limit endgame: the serial loop would process
-                // exactly this one cycle, observe the limit, and break.
+                // Cycle-limit endgame: the one-shard run would process
+                // exactly this one cycle, observe the limit, and stop.
                 // Cheap enough to run inline on the coordinator.
                 for &(i, c) in &running {
                     if c == epoch_start {
@@ -668,11 +780,11 @@ pub(crate) fn run_cycles<'k>(
                         }
                     }
                 }
-                arbitrate(&mut shards, chunk, l2, image, config, stats);
+                arbitrate(&mut shards, chunk, mem, config, stats);
                 replay_shadow(&mut shards, &mut shadow);
                 epochs += 1;
                 let all_done = shards.iter().flatten().all(|s| s.done_at.is_some());
-                return LoopExit::Finished {
+                return Outcome {
                     cycle: epoch_start,
                     fallback: (!all_done).then_some(TerminationReason::CycleLimit),
                 };
@@ -693,7 +805,7 @@ pub(crate) fn run_cycles<'k>(
                         Ok(()) => dispatched.push(i),
                         Err(mpsc::SendError(job)) => {
                             shards[i] = Some(job.shard);
-                            return LoopExit::WorkerLost;
+                            return WORKER_LOST;
                         }
                     }
                 }
@@ -707,7 +819,7 @@ pub(crate) fn run_cycles<'k>(
                         *slot = job.busy_ns;
                         shards[i] = Some(job.shard);
                     }
-                    Err(_) => return LoopExit::WorkerLost,
+                    Err(_) => return WORKER_LOST,
                 }
             }
             let span = now_ns().saturating_sub(wait_start);
@@ -715,7 +827,7 @@ pub(crate) fn run_cycles<'k>(
                 stall[i] += span.saturating_sub(b);
             }
 
-            arbitrate(&mut shards, chunk, l2, image, config, stats);
+            arbitrate(&mut shards, chunk, mem, config, stats);
             replay_shadow(&mut shards, &mut shadow);
 
             epochs += 1;
@@ -726,45 +838,19 @@ pub(crate) fn run_cycles<'k>(
         }
     });
 
-    // Reassemble the machine in SM id order and fold the shard counters
-    // into the launch totals.
-    for slot in &mut shards {
-        let Some(shard) = slot.take() else { continue };
-        let shard = *shard;
-        merge_counters(stats, &shard.stats);
-        for unit in shard.units {
-            sms.push(unit.sm);
-            policies.push(unit.policy);
-        }
+    for shard in shards.into_iter().flatten() {
+        shard.restore(sms, policies, stats);
     }
-
-    let outcome = match exit {
-        LoopExit::Finished { cycle, fallback } => Outcome { cycle, fallback },
-        LoopExit::WorkerLost => Outcome {
-            cycle: 0,
-            fallback: Some(TerminationReason::FaultAbort),
-        },
-    };
-
-    epoch_stats.epochs += epochs;
-    epoch_stats.advanced_cycles += outcome.cycle;
     if let Some(prev) = prev_start {
         max_advance = max_advance.max(outcome.cycle.saturating_sub(prev));
     }
-    epoch_stats.max_epoch_cycles = epoch_stats.max_epoch_cycles.max(max_advance);
-    epoch_stats.shards = epoch_stats.shards.max(workers);
-    if epoch_stats.busy_ns.len() < workers {
-        epoch_stats.busy_ns.resize(workers, 0);
-    }
-    if epoch_stats.stall_ns.len() < workers {
-        epoch_stats.stall_ns.resize(workers, 0);
-    }
-    for (into, from) in epoch_stats.busy_ns.iter_mut().zip(&busy) {
-        *into += from;
-    }
-    for (into, from) in epoch_stats.stall_ns.iter_mut().zip(&stall) {
-        *into += from;
-    }
-
+    epoch_stats.merge(&EpochStats {
+        epochs,
+        advanced_cycles: outcome.cycle,
+        max_epoch_cycles: max_advance,
+        shards: workers,
+        busy_ns: busy,
+        stall_ns: stall,
+    });
     outcome
 }

@@ -18,7 +18,7 @@ use crate::shadow::{roundtrip_stored, ShadowCheck, ShadowCheckpoint};
 use crate::stats::{EpTraceEntry, KernelStats};
 use crate::warp::{Warp, WarpState};
 use latte_cache::{
-    CompressedCache, DecompressionQueue, LineAddr, LookupOutcome, Mshr, MshrOutcome,
+    CompressedCache, DecompressionQueue, LineAddr, LookupOutcome, Mshr, MshrOutcome, SimpleCache,
 };
 use latte_compress::{CacheLine, Compression, Cycles};
 use std::collections::HashMap;
@@ -27,11 +27,64 @@ use std::collections::HashMap;
 /// L2, as modified by dirty write-backs. Lines absent from the map still
 /// hold their pristine [`Kernel::line_data`] bytes, so the map stays
 /// empty (and the write-through configurations stay allocation-free)
-/// unless the write-back data path runs. Accessed only at L2-access
-/// points — inline in the serial loop, at the barrier arbiter under
-/// `--sim-threads` — so both paths read and write it in the identical
-/// `(cycle, phase, sm, seq)` order.
+/// unless the write-back data path runs. Read and written only by
+/// [`SharedMem::access_l2`], so the one-shard inline run and the
+/// barrier arbiter touch it in the identical `(cycle, phase, sm, seq)`
+/// order.
 pub(crate) type MemImage = HashMap<LineAddr, CacheLine>;
+
+/// The memory side every SM shares: the L2 and the backing-store image
+/// behind it.
+pub(crate) struct SharedMem {
+    pub l2: SimpleCache,
+    pub image: MemImage,
+}
+
+impl SharedMem {
+    /// The one shared-L2 access rule, used by the one-shard inline run,
+    /// the barrier arbiter and the kernel-end dirty flush alike. The
+    /// access looks the line up and fills it (a miss counts one DRAM
+    /// access). A write-back first lands its bytes in the image; under
+    /// the planted `drop_writebacks` mutation it is silently discarded
+    /// instead — the lost-store failure mode the shadow oracle must
+    /// catch. A load fill returns the completion event the SM is owed,
+    /// its refill payload resolved from the image at this access point,
+    /// so a fill that follows a write-back of the same line always
+    /// observes the written bytes.
+    pub(crate) fn access_l2(
+        &mut self,
+        config: &GpuConfig,
+        stats: &mut KernelStats,
+        cycle: Cycles,
+        sm: usize,
+        addr: LineAddr,
+        kind: L2RequestKind,
+    ) -> Option<MemEvent> {
+        if let L2RequestKind::WriteBack { data } = kind {
+            if config.faults.is_some_and(|f| f.drop_writebacks) {
+                stats.faults.writebacks_dropped += 1;
+                return None;
+            }
+            stats.writebacks += 1;
+            self.image.insert(addr, data);
+        }
+        let hit = self.l2.access_and_fill(addr);
+        if !hit {
+            stats.dram_accesses += 1;
+        }
+        let L2RequestKind::LoadFill { spike } = kind else {
+            return None;
+        };
+        let latency = if hit { config.l2_latency } else { config.dram_latency };
+        Some(MemEvent {
+            cycle: cycle + latency + spike,
+            sm,
+            addr,
+            verified: false,
+            data: self.image.get(&addr).copied(),
+        })
+    }
+}
 
 /// A memory request completing at `cycle` for `sm`'s line `addr`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -57,20 +110,20 @@ pub(crate) struct MemEvent {
 /// Under `--sim-threads`, SMs never touch the L2 directly; they emit
 /// these records into a shard-local [`L2Buffer`] and the barrier arbiter
 /// replays them through the real cache in `(cycle, phase, sm, seq)`
-/// order — exactly the order the serial loop would have performed them.
+/// order — exactly the order the one-shard inline run performs them in.
 /// Issue-phase traffic (loads, stores) is unique per `(cycle, sm)`
-/// thanks to the single LD/ST port, and the serial loop issues SMs in id
+/// thanks to the single LD/ST port, and the inline run issues SMs in id
 /// order within a cycle; delivery-phase traffic (dirty write-backs from
 /// fill-time evictions) drains from per-shard event heaps whose pop
-/// order matches the serial heap's `(cycle, sm, addr)` order, with `seq`
-/// preserving each SM's emission order inside one cycle.
+/// order matches the one-shard heap's `(cycle, sm, addr)` order, with
+/// `seq` preserving each SM's emission order inside one cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct L2Request {
     /// Cycle the SM performed the access.
     pub cycle: Cycles,
     /// 0 = memory-delivery phase (write-backs from fill-time evictions),
-    /// 1 = issue phase (loads, stores, issue-time write-backs); the
-    /// serial loop delivers completions before issuing within a cycle.
+    /// 1 = issue phase (loads, stores, issue-time write-backs); every
+    /// cycle delivers completions before it issues.
     pub phase: u8,
     /// Issuing SM.
     pub sm: usize,
@@ -86,10 +139,10 @@ pub(crate) struct L2Request {
 /// The kinds of shared-L2 traffic an SM generates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum L2RequestKind {
-    /// A load miss's fill round trip; the arbiter owes the SM a
-    /// completion event. `spike` carries the latency-spike fault rolled
-    /// SM-locally at issue time, so the injector's stream position is
-    /// identical to the serial run.
+    /// A load miss's fill round trip; the SM is owed a completion event.
+    /// `spike` carries the latency-spike fault rolled SM-locally at
+    /// issue time, so the injector's stream position does not depend on
+    /// the port the access takes.
     LoadFill {
         /// Extra cycles from an injected latency spike (0 when none).
         spike: Cycles,
@@ -129,29 +182,25 @@ impl L2Buffer {
     }
 }
 
-/// How an SM reaches the shared L2 while stepping: inline in the serial
-/// loop, or deferred to the epoch-barrier arbiter under `--sim-threads`.
-/// The serial variant is the only place SM code can reach shared cache
-/// state, and it is exercised strictly one SM at a time.
+/// How an SM reaches the shared L2 while stepping: inline in the
+/// one-shard run, or deferred to the epoch-barrier arbiter under
+/// `--sim-threads`. The inline variant is the only place SM code can
+/// reach shared memory state, and it is exercised strictly one SM at a
+/// time.
 pub(crate) enum L2Port<'a> {
-    /// Serial path: access the shared L2 (and the backing-store image
-    /// behind it) inline, exactly as the single-threaded loop always has.
-    // latte-lint: shared-boundary(reason = "the shared L2 and backing-store image, accessed inline by the single-threaded loop only; one SM steps at a time, so the references are never aliased")
-    Direct {
-        /// The shared L2.
-        l2: &'a mut latte_cache::SimpleCache,
-        /// The backing-store image dirty write-backs land in.
-        image: &'a mut MemImage,
-    },
+    /// One-shard path: access the shared L2 (and the backing-store image
+    /// behind it) inline, in emission order.
+    // latte-lint: shared-boundary(reason = "the shared L2 and backing-store image, accessed inline by the one-shard run on the calling thread only; one SM steps at a time, so the reference is never aliased")
+    Direct(&'a mut SharedMem),
     /// Parallel path: buffer the access into shard-local memory; the
     /// epoch-barrier arbiter drains every shard's buffer through the
-    /// real L2 in `(cycle, sm, seq)` order.
+    /// real L2 in `(cycle, phase, sm, seq)` order.
     // latte-lint: shared-boundary(reason = "epoch-local request buffer; the barrier arbiter serializes it through the real L2 in fixed (cycle, sm, seq) order, so no two threads ever race on cache state")
     Deferred(&'a mut L2Buffer),
 }
 
-/// Shared resources an SM needs while stepping (split off `Gpu` to keep
-/// borrows disjoint).
+/// Shared resources an SM needs while stepping (split off the shard to
+/// keep borrows disjoint).
 pub(crate) struct MemCtx<'a> {
     /// The SM's window onto the shared L2 (see [`L2Port`]).
     pub l2: L2Port<'a>,
@@ -163,87 +212,37 @@ pub(crate) struct MemCtx<'a> {
     pub kernel: &'a dyn Kernel,
     // latte-lint: shared-boundary(reason = "read-only GpuConfig; immutable for the whole run")
     pub config: &'a GpuConfig,
-    // latte-lint: shared-boundary(reason = "launch-wide counters; all updates are commutative adds, accumulated shard-locally under --sim-threads and summed at the end of the run")
+    // latte-lint: shared-boundary(reason = "launch-wide counters; all updates are commutative adds, accumulated shard-locally and summed at the end of the run")
     pub stats: &'a mut KernelStats,
     /// Differential-verification hook (`None` in normal runs).
-    // latte-lint: shared-boundary(reason = "verification-only shadow model; serial oracle runs call it directly, parallel runs record into a shard-local recorder that the barrier replays in deterministic (cycle, phase, sm, seq) order")
+    // latte-lint: shared-boundary(reason = "verification-only shadow model; the one-shard inline run calls it directly, parallel runs record into a shard-local recorder that the barrier replays in deterministic (cycle, phase, sm, seq) order")
     pub shadow: Option<&'a mut (dyn ShadowCheck + 'static)>,
     /// Structural-checkpoint cadence in EPs (meaningless without `shadow`).
     pub shadow_every: u64,
 }
 
 impl MemCtx<'_> {
-    /// A write-through store reaching the shared L2. Serial: the access
-    /// happens now (a miss counts one DRAM access). Parallel: buffered
-    /// for the barrier arbiter, which applies the identical logic in the
-    /// identical order.
-    fn l2_store(&mut self, line: LineAddr, cycle: Cycles, sm: usize) {
+    /// Sends one access to the shared L2. Inline: performed now by
+    /// [`SharedMem::access_l2`], a load fill's completion going straight
+    /// into the heap. Deferred: buffered for the barrier arbiter, which
+    /// applies the same rule in the same order. `phase` is 0 for traffic
+    /// emitted while delivering fills and 1 at issue, mirroring the
+    /// deliver-then-issue order within a cycle.
+    fn send_l2(
+        &mut self,
+        cycle: Cycles,
+        phase: u8,
+        sm: usize,
+        addr: LineAddr,
+        kind: L2RequestKind,
+    ) {
         match &mut self.l2 {
-            L2Port::Direct { l2, .. } => {
-                if !l2.access_and_fill(line) {
-                    self.stats.dram_accesses += 1;
+            L2Port::Direct(mem) => {
+                if let Some(ev) = mem.access_l2(self.config, self.stats, cycle, sm, addr, kind) {
+                    self.events.push(std::cmp::Reverse(ev));
                 }
             }
-            L2Port::Deferred(buf) => buf.push(cycle, 1, sm, line, L2RequestKind::Store),
-        }
-    }
-
-    /// A primary load miss's fill round trip. Serial: access the L2 now
-    /// and schedule the completion event directly. Parallel: buffer the
-    /// request; the arbiter performs the access at the barrier and pushes
-    /// the completion into the owning shard's heap. `spike` is the
-    /// SM-locally rolled latency-spike fault (0 when none) — rolled
-    /// before this call in both paths so the fault stream is identical.
-    /// The refill payload is resolved from the backing-store image at
-    /// the L2-access point in both paths, so a fill issued after a
-    /// write-back of the same line (in `(cycle, phase, sm, seq)` order)
-    /// always observes the written bytes.
-    fn l2_load_miss(&mut self, line: LineAddr, cycle: Cycles, sm: usize, spike: Cycles) {
-        match &mut self.l2 {
-            L2Port::Direct { l2, image } => {
-                let mut latency = if l2.access_and_fill(line) {
-                    self.config.l2_latency
-                } else {
-                    self.stats.dram_accesses += 1;
-                    self.config.dram_latency
-                };
-                latency += spike;
-                self.events.push(std::cmp::Reverse(MemEvent {
-                    cycle: cycle + latency,
-                    sm,
-                    addr: line,
-                    verified: false,
-                    data: image.get(&line).copied(),
-                }));
-            }
-            L2Port::Deferred(buf) => {
-                buf.push(cycle, 1, sm, line, L2RequestKind::LoadFill { spike });
-            }
-        }
-    }
-
-    /// A dirty line's write-back reaching the shared L2 and the
-    /// backing-store image. `phase` is 0 for write-backs emitted while
-    /// delivering fills and 1 for issue-time ones, mirroring the serial
-    /// loop's deliver-then-issue order within a cycle. Under the planted
-    /// `drop_writebacks` mutation the write-back is silently discarded —
-    /// the lost-store failure mode the shadow oracle must catch.
-    fn l2_writeback(&mut self, line: LineAddr, data: CacheLine, cycle: Cycles, sm: usize, phase: u8) {
-        if self.config.faults.is_some_and(|f| f.drop_writebacks) {
-            self.stats.faults.writebacks_dropped += 1;
-            return;
-        }
-        self.stats.writebacks += 1;
-        match &mut self.l2 {
-            L2Port::Direct { l2, image } => {
-                image.insert(line, data);
-                if !l2.access_and_fill(line) {
-                    self.stats.dram_accesses += 1;
-                }
-            }
-            L2Port::Deferred(buf) => {
-                buf.push(cycle, phase, sm, line, L2RequestKind::WriteBack { data });
-            }
+            L2Port::Deferred(buf) => buf.push(cycle, phase, sm, addr, kind),
         }
     }
 }
@@ -493,7 +492,7 @@ impl Sm {
                 // miss also fetches the line into the L1.
                 ctx.stats.stores += 1;
                 let line = LineAddr::from_byte_addr(addr);
-                ctx.l2_store(line, cycle, self.id);
+                ctx.send_l2(cycle, 1, self.id, line, L2RequestKind::Store);
                 if ctx.config.write_allocate
                     && !self.l1.contains(line)
                     && self.mshr.would_accept(line)
@@ -687,7 +686,7 @@ impl Sm {
                             }
                             None => 0,
                         };
-                        ctx.l2_load_miss(line, cycle, self.id, spike);
+                        ctx.send_l2(cycle, 1, self.id, line, L2RequestKind::LoadFill { spike });
                     }
                     MshrOutcome::Merged => {}
                     MshrOutcome::Full => unreachable!("would_accept checked above"),
@@ -751,7 +750,7 @@ impl Sm {
             if self.mshr.allocate(line) == MshrOutcome::Primary {
                 // Write-allocate fetch. No latency-spike roll: stores are
                 // fire-and-forget, so a spike could never be observed.
-                ctx.l2_load_miss(line, cycle, self.id, 0);
+                ctx.send_l2(cycle, 1, self.id, line, L2RequestKind::LoadFill { spike: 0 });
             }
             self.pending_stores.entry(line).or_insert([None; 4])[sector_index] = Some(sector);
         }
@@ -763,7 +762,7 @@ impl Sm {
     /// under the policy's choice, rewrite the line in place (marking it
     /// dirty), write back any dirty victims the size change displaced,
     /// and report the committed bytes to the shadow hook. `phase`
-    /// follows the [`MemCtx::l2_writeback`] convention.
+    /// follows the [`MemCtx::send_l2`] convention.
     fn commit_store(
         &mut self,
         line: LineAddr,
@@ -801,7 +800,7 @@ impl Sm {
     /// Sends one evicted line's dirty bytes back to the L2/DRAM (no-op
     /// for clean victims). The outbound-link fault is rolled SM-locally
     /// before the port access so the injector's stream position is
-    /// identical in the serial and deferred paths; a parity-detected
+    /// identical in the inline and deferred paths; a parity-detected
     /// corruption is re-sent by the memory partition, costing link
     /// occupancy (counted) but no warp-visible latency.
     fn writeback_victim(
@@ -823,7 +822,7 @@ impl Sm {
             ctx.stats.faults.writeback_faults += 1;
             ctx.stats.faults.writeback_retry_cycles += ctx.config.l2_latency;
         }
-        ctx.l2_writeback(victim.addr, data, cycle, self.id, phase);
+        ctx.send_l2(cycle, phase, self.id, victim.addr, L2RequestKind::WriteBack { data });
     }
 
     /// Handles a refill arriving from the memory system. `verified` is
@@ -883,7 +882,7 @@ impl Sm {
             if ctx.config.write_back {
                 if let Some(sectors) = self.pending_stores.remove(&addr) {
                     let merged = merge_sectors(&data, &sectors);
-                    ctx.l2_writeback(addr, merged, cycle, self.id, 0);
+                    ctx.send_l2(cycle, 0, self.id, addr, L2RequestKind::WriteBack { data: merged });
                     if let Some(shadow) = ctx.shadow.as_deref_mut() {
                         shadow.on_store(self.id, addr, &merged, cycle);
                     }

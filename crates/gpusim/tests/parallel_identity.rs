@@ -1,5 +1,5 @@
-//! Serial vs `sim_threads > 1` byte-identity: the epoch-barrier parallel
-//! loop must reproduce the serial loop's results *exactly* — every
+//! One-shard vs `sim_threads > 1` byte-identity: the epoch-barrier
+//! shards must reproduce the one-shard inline run's results *exactly* — every
 //! counter, cycle count, trace entry, fault tally, termination reason and
 //! shadow-hook call — across kernels, policies, fault families and
 //! termination paths. These tests are the core guarantee that lets
@@ -154,9 +154,9 @@ impl Kernel for WritePressureKernel {
 /// A kernel whose very last operations are stores to lines that are
 /// not resident: each one misses, write-allocates a background fill,
 /// and the warp exits without waiting (stores are fire-and-forget).
-/// The serial loop keeps running until the fill's completion event
-/// drains from the global heap; the parallel loop's shard-done
-/// condition must count the buffered fill request as pending work or
+/// The one-shard inline run keeps running until the fill's completion
+/// event drains from its heap; a worker shard's done condition must
+/// count the buffered fill request as pending work or
 /// it declares the kernel over early — cycles, write-backs and the
 /// shadow transcript all diverge.
 #[derive(Clone)]
@@ -391,7 +391,7 @@ fn fault_injection_families_are_identical() {
 #[test]
 fn cycle_limit_termination_is_identical() {
     // A limit mid-run: the parallel endgame must stop at the exact cycle
-    // the serial loop would, with the same timed_out/termination fields.
+    // the one-shard run does, with the same timed_out/termination fields.
     let strided = StridedKernel::new(12, 300, 512);
     let cfg = GpuConfig {
         max_cycles_per_kernel: 700,
@@ -400,13 +400,19 @@ fn cycle_limit_termination_is_identical() {
     let (serial, _) = run_with_threads(&cfg, 1, false, &[&strided]);
     assert!(serial[0].timed_out, "limit must actually bite");
     assert_eq!(serial[0].termination, TerminationReason::CycleLimit);
+    // Absolute values pin the advance rule itself: every thread count
+    // shares it, so a 1-vs-N comparison cannot see it drift.
+    assert_eq!(
+        (serial[0].cycles, serial[0].instructions, serial[0].termination),
+        (700, 350, TerminationReason::CycleLimit)
+    );
     assert_identical(&cfg, false, &[&strided]);
 }
 
 #[test]
 fn deadlock_termination_is_identical() {
     // Wakeup drops at rate 1.0 strand every missing warp: a guaranteed
-    // workload deadlock, detected at the same cycle in both loops.
+    // workload deadlock, detected at the same cycle at every thread count.
     let strided = StridedKernel::new(6, 50, 256);
     let cfg = GpuConfig {
         faults: Some(FaultConfig::wakeup_drops(23, 1.0)),
@@ -415,7 +421,42 @@ fn deadlock_termination_is_identical() {
     let (serial, _) = run_with_threads(&cfg, 1, false, &[&strided]);
     assert!(serial[0].timed_out, "deadlock must actually happen");
     assert_eq!(serial[0].termination, TerminationReason::Deadlock);
+    assert_eq!(
+        (serial[0].cycles, serial[0].instructions, serial[0].termination),
+        (235, 30, TerminationReason::Deadlock)
+    );
     assert_identical(&cfg, false, &[&strided]);
+}
+
+#[test]
+fn zero_epoch_bound_runs_as_one_shard() {
+    // Δ = min(l2_latency, dram_latency) = 0 leaves no window in which
+    // shards are independent, so any thread count must fall back to the
+    // one-shard run rather than step epochs of zero length.
+    let cfg = GpuConfig {
+        l2_latency: 0,
+        dram_latency: 0,
+        ..config()
+    };
+    let strided = StridedKernel::new(8, 150, 256);
+    let (serial, _) = run_with_threads(&cfg, 1, false, &[&strided, &MixedKernel]);
+    let config = GpuConfig {
+        sim_threads: 4,
+        ..cfg
+    };
+    let mut gpu = Gpu::new(&config, |_| {
+        Box::new(UncompressedPolicy) as Box<dyn L1CompressionPolicy>
+    });
+    let four = gpu.run_kernels([&strided as &dyn Kernel, &MixedKernel]);
+    assert_eq!(serial, four, "Δ = 0 at sim_threads=4 must equal sim_threads=1");
+    assert!(four
+        .iter()
+        .all(|s| s.termination == TerminationReason::Completed));
+    assert_eq!(
+        gpu.take_epoch_stats(),
+        latte_gpusim::EpochStats::default(),
+        "Δ = 0 must run without epochs"
+    );
 }
 
 #[test]
@@ -586,6 +627,10 @@ fn tail_store_write_allocate_fills_outlive_all_warps() {
     assert!(
         serial[0].writebacks > 0,
         "the tail stores' dirty lines must flush at kernel end"
+    );
+    assert_eq!(
+        (serial[0].cycles, serial[0].instructions, serial[0].termination),
+        (2998, 340, TerminationReason::Completed)
     );
 }
 
