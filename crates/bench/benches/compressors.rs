@@ -4,7 +4,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use latte_cache::LineAddr;
 use latte_compress::{Bdi, BitSink, Bpc, CacheLine, Compressor, CpackZ, Fpc, Sc, VftBuilder};
-use latte_workloads::ValueProfile;
+use latte_gpusim::Kernel;
+use latte_workloads::{
+    AccessPattern, BenchmarkSpec, Category, KernelSpec, LineGenerator, PhaseSpec, ValueProfile,
+};
 use std::hint::black_box;
 
 fn lines_for(profile: ValueProfile) -> Vec<CacheLine> {
@@ -219,11 +222,83 @@ fn bench_sc_training(c: &mut Criterion) {
     });
 }
 
+/// A one-kernel, one-phase benchmark whose single phase never ends
+/// within a measurement (no compute ops: every `next_op` is an access).
+fn one_phase(pattern: AccessPattern) -> BenchmarkSpec {
+    BenchmarkSpec {
+        abbr: "FILL",
+        name: "fill-path input bench",
+        category: Category::CSens,
+        kernels: vec![KernelSpec {
+            name: "k0".into(),
+            warps_per_sm: 48,
+            phases: vec![PhaseSpec::loads(pattern, u32::MAX, 0).with_mlp(4)],
+        }],
+        generator: LineGenerator::uniform(ValueProfile::Zeros, 7),
+        seed: 7,
+    }
+}
+
+/// The inputs of every simulated fill and issue, untimed by the
+/// simulator's own tracing: one warp's `next_op` (the synthetic address
+/// generator) on a Zipf and a Tiled phase, and `line_data` (the value
+/// generator) under each value profile.
+fn bench_fill_path_inputs(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fill_path_inputs");
+    let patterns = [
+        (
+            "next_op_zipf",
+            AccessPattern::Zipf {
+                universe_lines: 4096,
+                alpha_x100: 90,
+            },
+        ),
+        (
+            "next_op_tiled",
+            AccessPattern::Tiled {
+                tile_lines: 64,
+                reuse_factor: 4,
+            },
+        ),
+    ];
+    for (name, pattern) in patterns {
+        let kernels = one_phase(pattern).build_kernels();
+        let mut stream = kernels[0].warp_program(0, 5);
+        group.bench_function(name, |b| b.iter(|| black_box(stream.next_op())));
+    }
+    let profiles = [
+        ("line_data_zeros", ValueProfile::Zeros),
+        ("line_data_small_ints", ValueProfile::SmallInts { max: 1024 }),
+        ("line_data_pointers", ValueProfile::Pointers),
+        (
+            "line_data_indices",
+            ValueProfile::Indices {
+                stride: 4,
+                noise_bits: 2,
+            },
+        ),
+        ("line_data_hot_floats", ValueProfile::HotFloats { alphabet: 64 }),
+        ("line_data_random_floats", ValueProfile::RandomFloats),
+        ("line_data_text", ValueProfile::Text),
+    ];
+    for (name, profile) in profiles {
+        let mut i = 0u64;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                i += 1;
+                black_box(profile.line(LineAddr::new(black_box(i)), 7))
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_compressors,
     bench_hot_path_stream,
     bench_size_probe_vs_encode,
-    bench_sc_training
+    bench_sc_training,
+    bench_fill_path_inputs
 );
 criterion_main!(benches);

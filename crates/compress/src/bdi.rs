@@ -40,16 +40,18 @@ pub enum BdiEncoding {
 }
 
 impl BdiEncoding {
-    /// All encodings BDI attempts, cheapest first. (Δ = 0 with 4- or 2-byte
-    /// bases is subsumed by [`BdiEncoding::Rep8`]: if all 4-byte or 2-byte
-    /// blocks are equal, all 8-byte blocks are equal too.)
+    /// All encodings BDI attempts, cheapest first (ties keep B2D1 ahead
+    /// of B8D4), so the first candidate a line fits is its smallest
+    /// encoding. (Δ = 0 with 4- or 2-byte bases is subsumed by
+    /// [`BdiEncoding::Rep8`]: if all 4-byte or 2-byte blocks are equal,
+    /// all 8-byte blocks are equal too.)
     pub const CANDIDATES: [BdiEncoding; 7] = [
         BdiEncoding::Rep8,
         BdiEncoding::B8D1,
-        BdiEncoding::B2D1,
-        BdiEncoding::B8D2,
         BdiEncoding::B4D1,
+        BdiEncoding::B8D2,
         BdiEncoding::B4D2,
+        BdiEncoding::B2D1,
         BdiEncoding::B8D4,
     ];
 
@@ -212,45 +214,9 @@ impl Bdi {
     #[must_use]
     pub fn encode(&self, line: &CacheLine) -> BdiCompressed {
         let t = stats::start();
-        let c = self.encode_impl(line, true);
+        let c = encode_as(line, select(line));
         stats::record_encode(t);
         c
-    }
-
-    /// [`Bdi::encode`] with an optional raw fallback copy: the size-only
-    /// hot path passes `keep_raw = false` so incompressible lines cost no
-    /// heap allocation (their size is the line size by definition).
-    fn encode_impl(&self, line: &CacheLine, keep_raw: bool) -> BdiCompressed {
-        if line.is_zero() {
-            return BdiCompressed {
-                encoding: BdiEncoding::Zeros,
-                base: 0,
-                deltas: [0; MAX_BLOCKS],
-                num_blocks: 0,
-                zero_base_mask: 0,
-                raw: None,
-            };
-        }
-        let mut best: Option<BdiCompressed> = None;
-        for &enc in &BdiEncoding::CANDIDATES {
-            if best
-                .as_ref()
-                .is_some_and(|b| b.size_bytes() <= enc.compressed_bytes())
-            {
-                continue; // candidates are not strictly sorted; skip non-improving ones
-            }
-            if let Some(c) = try_encode(line, enc) {
-                best = Some(c);
-            }
-        }
-        best.unwrap_or_else(|| BdiCompressed {
-            encoding: BdiEncoding::Uncompressed,
-            base: 0,
-            deltas: [0; MAX_BLOCKS],
-            num_blocks: 0,
-            zero_base_mask: 0,
-            raw: keep_raw.then(|| Box::new(*line)),
-        })
     }
 
     /// Reconstructs the original line from its compressed form.
@@ -312,15 +278,15 @@ impl Compressor for Bdi {
     }
 
     fn compress(&self, line: &CacheLine) -> Compression {
-        // Size-only probe: skip the raw fallback copy — an incompressible
-        // line's size is the line size by definition.
+        // Size-only probe: the encoding alone fixes the size, so no
+        // deltas are kept and no `BdiCompressed` is built.
         let t = stats::start();
-        let c = self.encode_impl(line, false);
+        let enc = select(line);
         stats::record_probe(t);
-        if c.encoding == BdiEncoding::Uncompressed {
+        if enc == BdiEncoding::Uncompressed {
             Compression::UNCOMPRESSED
         } else {
-            Compression::new(c.size_bytes())
+            Compression::new(enc.compressed_bytes())
         }
     }
 
@@ -339,13 +305,6 @@ impl Compressor for Bdi {
     fn decompression_energy_nj(&self) -> f64 {
         0.056
     }
-}
-
-/// Reads block `blk` of `base_bytes` bytes as a zero-extended u64.
-fn block_value(line: &CacheLine, blk: usize, base_bytes: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b[..base_bytes].copy_from_slice(&line.as_bytes()[blk * base_bytes..(blk + 1) * base_bytes]);
-    u64::from_le_bytes(b)
 }
 
 fn mask_bytes(n: usize) -> u64 {
@@ -373,50 +332,116 @@ fn delta_fits(delta: u64, base_bytes: usize, delta_bytes: usize) -> bool {
     (-half..half).contains(&d)
 }
 
-fn try_encode(line: &CacheLine, enc: BdiEncoding) -> Option<BdiCompressed> {
-    let base_bytes = enc.base_bytes()?;
-    let delta_bytes = enc.delta_bytes();
-    let blocks = CacheLine::SIZE_BYTES / base_bytes;
+/// Where a delta scan records each block's stored delta and the
+/// zero-base mask: the encode path's sink. The size probe passes none.
+struct Deltas {
+    deltas: [u64; MAX_BLOCKS],
+    zero_base_mask: u64,
+}
 
+/// The BDI delta-fit rule, specialised to a base of `B` bytes: each
+/// block either fits in `delta_bytes` as an immediate (relative to the
+/// implicit zero base) or as a delta from the line's base, which is the
+/// first block that is not an immediate. Returns that base (0 when
+/// every block is an immediate), or `None` as soon as one block fits
+/// neither way. With a `sink`, every block's truncated delta and its
+/// base selector are recorded as well.
+fn delta_scan<const B: usize>(
+    line: &CacheLine,
+    delta_bytes: usize,
+    mut sink: Option<&mut Deltas>,
+) -> Option<u64> {
+    let mut base: Option<u64> = None;
+    for (blk, chunk) in line.as_bytes().chunks_exact(B).enumerate() {
+        let mut word = [0u8; 8];
+        word[..B].copy_from_slice(chunk);
+        let v = u64::from_le_bytes(word);
+        let (delta, zero_base) = if delta_fits(v, B, delta_bytes) {
+            (v, true)
+        } else {
+            let delta = v.wrapping_sub(*base.get_or_insert(v));
+            if !delta_fits(delta, B, delta_bytes) {
+                return None;
+            }
+            (delta, false)
+        };
+        if let Some(sink) = sink.as_deref_mut() {
+            sink.deltas[blk] = delta & mask_bytes(delta_bytes);
+            sink.zero_base_mask |= u64::from(zero_base) << blk;
+        }
+    }
+    Some(base.unwrap_or(0))
+}
+
+/// The shared 8-byte value of a line whose 8-byte words are all equal.
+fn rep8_base(line: &CacheLine) -> Option<u64> {
+    let first = line.u64_word(0);
+    line.u64_words().all(|w| w == first).then_some(first)
+}
+
+/// Whether `line` fits `enc`, and with which base: the one fit test
+/// behind both the size probe and the encoder. `sink` (delta encodings
+/// only) receives the per-block deltas.
+fn fit(line: &CacheLine, enc: BdiEncoding, sink: Option<&mut Deltas>) -> Option<u64> {
     if enc == BdiEncoding::Rep8 {
-        let first = block_value(line, 0, 8);
-        let all_same = (1..blocks).all(|b| block_value(line, b, 8) == first);
-        return all_same.then_some(BdiCompressed {
-            encoding: BdiEncoding::Rep8,
-            base: first,
+        return rep8_base(line);
+    }
+    let delta_bytes = enc.delta_bytes();
+    match enc.base_bytes()? {
+        8 => delta_scan::<8>(line, delta_bytes, sink),
+        4 => delta_scan::<4>(line, delta_bytes, sink),
+        2 => delta_scan::<2>(line, delta_bytes, sink),
+        _ => None,
+    }
+}
+
+/// The encoding BDI stores `line` under: all-zeros, else the first
+/// (cheapest) candidate the line fits, else uncompressed.
+fn select(line: &CacheLine) -> BdiEncoding {
+    if line.is_zero() {
+        return BdiEncoding::Zeros;
+    }
+    BdiEncoding::CANDIDATES
+        .into_iter()
+        .find(|&enc| fit(line, enc, None).is_some())
+        .unwrap_or(BdiEncoding::Uncompressed)
+}
+
+/// Materialises `line` under `enc`, the encoding [`select`] chose. A
+/// line that does not fit `enc` is stored raw.
+fn encode_as(line: &CacheLine, enc: BdiEncoding) -> BdiCompressed {
+    let mut sink = Deltas {
+        deltas: [0; MAX_BLOCKS],
+        zero_base_mask: 0,
+    };
+    let base = match enc {
+        BdiEncoding::Zeros => Some(0),
+        BdiEncoding::Uncompressed => None,
+        enc => fit(line, enc, Some(&mut sink)),
+    };
+    let Some(base) = base else {
+        return BdiCompressed {
+            encoding: BdiEncoding::Uncompressed,
+            base: 0,
             deltas: [0; MAX_BLOCKS],
             num_blocks: 0,
             zero_base_mask: 0,
-            raw: None,
-        });
-    }
-
-    let mut base: Option<u64> = None;
-    let mut deltas = [0u64; MAX_BLOCKS];
-    let mut zero_mask = 0u64;
-    for (blk, slot) in deltas.iter_mut().enumerate().take(blocks) {
-        let v = block_value(line, blk, base_bytes);
-        if delta_fits(v, base_bytes, delta_bytes) {
-            // Fits as an immediate relative to the zero base.
-            *slot = v & mask_bytes(delta_bytes);
-            zero_mask |= 1 << blk;
-            continue;
-        }
-        let b = *base.get_or_insert(v);
-        let delta = v.wrapping_sub(b);
-        if !delta_fits(delta, base_bytes, delta_bytes) {
-            return None;
-        }
-        *slot = delta & mask_bytes(delta_bytes);
-    }
-    Some(BdiCompressed {
+            raw: Some(Box::new(*line)),
+        };
+    };
+    // Delta encodings store one delta per block; Zeros and Rep8 none.
+    let num_blocks = match enc {
+        BdiEncoding::Rep8 => 0,
+        enc => enc.base_bytes().map_or(0, |b| CacheLine::SIZE_BYTES / b),
+    };
+    BdiCompressed {
         encoding: enc,
-        base: base.unwrap_or(0),
-        deltas,
-        num_blocks: blocks as u8,
-        zero_base_mask: zero_mask,
+        base,
+        deltas: sink.deltas,
+        num_blocks: num_blocks as u8,
+        zero_base_mask: sink.zero_base_mask,
         raw: None,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -578,9 +603,15 @@ mod tests {
         let line = CacheLine::from_u32_words(&words);
         let c = Bdi::new().encode(&line);
         for &enc in &BdiEncoding::CANDIDATES {
-            if let Some(alt) = try_encode(&line, enc) {
-                assert!(c.size_bytes() <= alt.size_bytes());
+            if fit(&line, enc, None).is_some() {
+                assert!(c.size_bytes() <= enc.compressed_bytes());
             }
         }
+    }
+
+    #[test]
+    fn candidates_are_cheapest_first() {
+        let sizes = BdiEncoding::CANDIDATES.map(BdiEncoding::compressed_bytes);
+        assert!(sizes.windows(2).all(|w| w[0] <= w[1]), "{sizes:?}");
     }
 }

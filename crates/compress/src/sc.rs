@@ -18,6 +18,10 @@
 // place a map is iterated — `ScCodebook::from_counts` — immediately
 // sorts by symbol ("deterministic tie-breaking independent of HashMap
 // order" below), so canonical code assignment cannot see map order.
+// Since 2026-10 the maps hash with the fixed `ScHasher` instead of
+// SipHash's per-process random keys, so their iteration order is also
+// the same in every run; the sort stays regardless, because the
+// canonical code must not depend on a hasher choice either.
 // latte-lint: allow-file(D3, reason = "keyed lookups; the single iteration site sorts by symbol before use")
 
 use crate::bitstream::{BitReader, BitWriter};
@@ -25,6 +29,52 @@ use crate::error::DecodeError;
 use crate::line::CacheLine;
 use crate::{stats, Compression, Compressor, Cycles};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A fixed multiplicative hasher (Fx-style) for the SC tables.
+///
+/// Every fill probes the codebook once per 32-bit word, and every
+/// training sample updates one VFT counter per word, so the tables'
+/// hash function sits on the simulator's fill path. The keys are
+/// simulated data values, not adversarial input, so SipHash's DoS
+/// resistance buys nothing here; one multiply per word does. The
+/// final rotation moves the product's well-mixed high bits into the
+/// low bits the table indexes by, so keys differing only in their
+/// high bits still spread over buckets.
+#[derive(Debug, Clone, Copy, Default)]
+struct ScHasher {
+    hash: u64,
+}
+
+impl ScHasher {
+    const SEED: u64 = 0xf135_7aea_2e62_a9c5;
+
+    fn add(&mut self, word: u64) {
+        self.hash = self.hash.wrapping_add(word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for ScHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
+
+/// A map over [`ScHasher`]: allocation-free until the first insert,
+/// like any `HashMap`, and iterated in the same order in every run.
+type ScMap<K, V> = HashMap<K, V, BuildHasherDefault<ScHasher>>;
 
 /// Capacity of the value-frequency table (§IV-C2).
 pub const VFT_ENTRIES: usize = 1024;
@@ -50,7 +100,7 @@ const MAX_CODE_LEN: u32 = 27;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct VftBuilder {
-    counts: HashMap<u32, u32>,
+    counts: ScMap<u32, u32>,
     /// Samples that arrived while the table was full (statistics only).
     overflowed: u64,
 }
@@ -141,18 +191,19 @@ enum Symbol {
 #[derive(Debug, Clone, Default)]
 pub struct ScCodebook {
     /// value -> code length in bits.
-    encode: HashMap<u32, (u32, u32)>, // value -> (code, len)
+    encode: ScMap<u32, (u32, u32)>, // value -> (code, len)
     escape: (u32, u32),
     /// (len, code) -> symbol, for decoding.
-    decode: HashMap<(u32, u32), Symbol>,
+    decode: ScMap<(u32, u32), Symbol>,
     max_len: u32,
 }
 
 impl ScCodebook {
     /// Builds a codebook from raw value counts. An escape symbol is always
-    /// included so any line remains encodable.
+    /// included so any line remains encodable. The map's hasher is
+    /// irrelevant: the counts are sorted by symbol before use.
     #[must_use]
-    pub fn from_counts(counts: &HashMap<u32, u32>) -> ScCodebook {
+    pub fn from_counts<S>(counts: &HashMap<u32, u32, S>) -> ScCodebook {
         let mut weights: Vec<(Symbol, u64)> = counts
             .iter()
             .filter(|&(_, &c)| c > 0)
@@ -175,8 +226,8 @@ impl ScCodebook {
 
         // Canonical code assignment: sort by (length, symbol).
         lengths.sort_unstable_by_key(|&(s, l)| (l, s));
-        let mut encode = HashMap::new();
-        let mut decode = HashMap::new();
+        let mut encode = ScMap::default();
+        let mut decode = ScMap::default();
         let mut escape = (0, 0);
         let mut code = 0u32;
         let mut prev_len = 0u32;
@@ -610,8 +661,21 @@ mod tests {
     }
 
     #[test]
+    fn sc_hasher_spreads_keys_that_differ_only_in_high_bits() {
+        use std::hash::BuildHasher;
+        // Keys sharing their low 24 bits must still land in different
+        // buckets of a 1024-entry table (its index is the hash's low bits).
+        let build = BuildHasherDefault::<ScHasher>::default();
+        let mut buckets: Vec<u64> =
+            (0..256u32).map(|i| build.hash_one(i << 24) & 1023).collect();
+        buckets.sort_unstable();
+        buckets.dedup();
+        assert!(buckets.len() > 200, "only {} distinct buckets", buckets.len());
+    }
+
+    #[test]
     fn empty_codebook_contains_only_escape() {
-        let cb = ScCodebook::from_counts(&HashMap::new());
+        let cb = ScCodebook::from_counts(&HashMap::<u32, u32>::new());
         assert!(cb.is_empty());
         assert_eq!(cb.cost_bits(5), cb.escape.1 + 32);
         // Even an empty codebook round-trips via escapes.

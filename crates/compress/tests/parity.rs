@@ -10,7 +10,7 @@
 //! * batch probing/compressing is byte-identical to the per-line loops.
 
 use latte_compress::{
-    Bdi, Bpc, CacheLine, Compression, Compressor, CpackZ, Fpc, Sc, VftBuilder,
+    Bdi, BdiEncoding, Bpc, CacheLine, Compression, Compressor, CpackZ, Fpc, Sc, VftBuilder,
 };
 use proptest::prelude::*;
 
@@ -48,6 +48,46 @@ fn structured_line() -> impl Strategy<Value = CacheLine> {
                     .collect();
                 CacheLine::from_u32_words(&words)
             }
+        })
+}
+
+/// A line of `base_bytes`-wide blocks, each `base` plus a signed offset
+/// drawn from `noise` and small enough that any two blocks differ by a
+/// delta that fits `delta_bytes`, except where `zero_picks` is 0: those
+/// blocks are zero immediates.
+fn bdi_shaped(
+    base_bytes: usize,
+    delta_bytes: usize,
+    base: u64,
+    noise: &[u64],
+    zero_picks: &[u8],
+) -> CacheLine {
+    let quarter = 1u64 << (delta_bytes * 8 - 2);
+    let mut bytes = [0u8; CacheLine::SIZE_BYTES];
+    for (blk, chunk) in bytes.chunks_exact_mut(base_bytes).enumerate() {
+        let value = if zero_picks[blk] == 0 {
+            0
+        } else {
+            base.wrapping_add(noise[blk] % (2 * quarter)).wrapping_sub(quarter)
+        };
+        chunk.copy_from_slice(&value.to_le_bytes()[..base_bytes]);
+    }
+    CacheLine::from_bytes(bytes)
+}
+
+/// BDI-shaped lines: a base of 2, 4 or 8 bytes, per-block deltas of 1, 2
+/// or 4 bytes, and zero immediates mixed in — every delta encoding's
+/// home ground, plus the neighbouring shapes that just miss it.
+fn bdi_line() -> impl Strategy<Value = CacheLine> {
+    (
+        0usize..3,
+        0usize..3,
+        any::<u64>(),
+        prop::collection::vec(any::<u64>(), CacheLine::SIZE_BYTES / 2),
+        prop::collection::vec(0u8..4, CacheLine::SIZE_BYTES / 2),
+    )
+        .prop_map(|(b, d, base, noise, zero_picks)| {
+            bdi_shaped([2, 4, 8][b], [1, 2, 4][d], base, &noise, &zero_picks)
         })
 }
 
@@ -157,6 +197,11 @@ proptest! {
     }
 
     #[test]
+    fn probe_matches_encode_on_bdi_lines(line in bdi_line()) {
+        assert_staged_parity(&line);
+    }
+
+    #[test]
     fn sc_probe_matches_encode(
         training in prop::collection::vec(temporal_line(), 1..4),
         line in any_line(),
@@ -195,4 +240,67 @@ fn zero_line_parity() {
     assert_staged_parity(&CacheLine::zeroed());
     assert_sc_size_parity(&Sc::untrained(), &CacheLine::zeroed());
     assert_sc_parity(&trained_sc(&[CacheLine::zeroed()]), &CacheLine::zeroed());
+}
+
+/// Every `BdiEncoding` variant is chosen for some line of a fixed,
+/// seeded sample, and for each the size probe agrees with the full
+/// encoding and the encoding round-trips.
+#[test]
+fn every_bdi_encoding_is_reached_with_probe_parity() {
+    let mut state = 0x243f_6a88_85a3_08d3u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut lines = vec![
+        CacheLine::zeroed(),
+        CacheLine::from_u64_words(&[0x1234_5678_9abc_def0; CacheLine::NUM_U64_WORDS]),
+    ];
+    for base_bytes in [2, 4, 8] {
+        for delta_bytes in [1, 2, 4] {
+            for _ in 0..16 {
+                let base = next();
+                let noise: Vec<u64> = (0..64).map(|_| next()).collect();
+                let zero_picks: Vec<u8> = (0..64).map(|_| (next() % 4) as u8).collect();
+                lines.push(bdi_shaped(base_bytes, delta_bytes, base, &noise, &zero_picks));
+            }
+        }
+    }
+    let mut random = [0u8; CacheLine::SIZE_BYTES];
+    for chunk in random.chunks_exact_mut(8) {
+        chunk.copy_from_slice(&next().to_le_bytes());
+    }
+    lines.push(CacheLine::from_bytes(random));
+
+    let bdi = Bdi::new();
+    let mut reached = Vec::new();
+    for line in &lines {
+        let c = bdi.encode(line);
+        assert_eq!(
+            bdi.probe(line),
+            Compression::new(c.size_bytes()),
+            "BDI probe vs {:?} encode",
+            c.encoding()
+        );
+        assert_eq!(bdi.decode(&c).as_ref(), Ok(line), "{:?} roundtrip", c.encoding());
+        if !reached.contains(&c.encoding()) {
+            reached.push(c.encoding());
+        }
+    }
+    for enc in [
+        BdiEncoding::Zeros,
+        BdiEncoding::Rep8,
+        BdiEncoding::B8D1,
+        BdiEncoding::B8D2,
+        BdiEncoding::B8D4,
+        BdiEncoding::B4D1,
+        BdiEncoding::B4D2,
+        BdiEncoding::B2D1,
+        BdiEncoding::Uncompressed,
+    ] {
+        assert!(reached.contains(&enc), "{enc:?} never chosen; reached {reached:?}");
+    }
 }

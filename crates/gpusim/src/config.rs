@@ -147,7 +147,7 @@ impl GpuConfig {
     /// Warps each scheduler of an SM owns (the warp pool is split evenly).
     #[must_use]
     pub fn warps_per_scheduler(&self) -> usize {
-        self.max_warps_per_sm.div_ceil(self.schedulers_per_sm)
+        self.max_warps_per_sm.div_ceil(self.schedulers_per_sm.max(1))
     }
 
     /// A stable 128-bit structural fingerprint covering **every** field

@@ -413,7 +413,7 @@ impl<'a> Shard<'a> {
         if self.issued_last {
             return Some(last + 1);
         }
-        let next_event = self.env.events.peek().map(|&Reverse(e)| e.cycle);
+        let next_event = self.env.events.peek().map(|Reverse(e)| e.cycle);
         let next_wake = self.units.iter().filter_map(|u| u.sm.next_wake()).min();
         let target = match (next_event, next_wake) {
             (Some(a), Some(b)) => a.min(b),
@@ -461,11 +461,10 @@ impl<'a> Shard<'a> {
             }
         }
         self.env.sink.set_phase(0);
-        while let Some(&Reverse(ev)) = self.env.events.peek() {
-            if ev.cycle > cycle {
+        while self.env.events.peek().is_some_and(|Reverse(ev)| ev.cycle <= cycle) {
+            let Some(Reverse(ev)) = self.env.events.pop() else {
                 break;
-            }
-            self.env.events.pop();
+            };
             let unit = &mut self.units[ev.sm - self.base];
             let mut ctx = self.env.ctx(unit.policy.as_mut());
             unit.sm

@@ -81,13 +81,13 @@ impl SharedMem {
             sm,
             addr,
             verified: false,
-            data: self.image.get(&addr).copied(),
+            data: self.image.get(&addr).map(|line| Box::new(*line)),
         })
     }
 }
 
 /// A memory request completing at `cycle` for `sm`'s line `addr`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct MemEvent {
     pub cycle: Cycles,
     pub sm: usize,
@@ -99,10 +99,12 @@ pub(crate) struct MemEvent {
     /// Refill payload resolved from the backing-store image at L2-access
     /// time (`None` = the line is pristine and the fill delivers
     /// [`Kernel::line_data`]). Always `None` outside write-back mode.
-    /// Kept as the last field so the derived heap order stays
+    /// Boxed so an event is 40 bytes, not 168: the heap sifts events on
+    /// every push and pop, and the 128-byte payload is almost always
+    /// absent. Kept as the last field so the derived heap order stays
     /// `(cycle, sm, addr, verified)`-major; the payload can never decide
     /// a tie because each SM has at most one outstanding fill per line.
-    pub data: Option<CacheLine>,
+    pub data: Option<Box<CacheLine>>,
 }
 
 /// One buffered shared-L2 access awaiting the epoch barrier.
@@ -323,32 +325,26 @@ impl Sm {
         }
     }
 
-    /// Launches a kernel's warps onto this SM.
+    /// Launches a kernel's warps onto this SM. A `warps_per_block` or
+    /// `schedulers_per_sm` of 0 runs as 1: the first would divide by
+    /// zero, the second would leave every warp without a scheduler.
     pub(crate) fn launch(&mut self, kernel: &dyn Kernel, config: &GpuConfig) {
         let n = kernel.warps_on_sm(self.id).min(config.max_warps_per_sm);
+        let warps_per_block = config.warps_per_block.max(1);
+        let num_schedulers = config.schedulers_per_sm.max(1);
         self.warps = (0..n)
-            .map(|w| {
-                Warp::new(
-                    w,
-                    w / config.warps_per_block,
-                    kernel.warp_program(self.id, w),
-                )
-            })
+            .map(|w| Warp::new(w, w / warps_per_block, kernel.warp_program(self.id, w)))
             .collect();
-        let num_blocks = n.div_ceil(config.warps_per_block.max(1));
+        let num_blocks = n.div_ceil(warps_per_block);
         self.blocks = (0..num_blocks)
-            .map(|b| {
-                (0..n)
-                    .filter(|w| w / config.warps_per_block == b)
-                    .collect()
-            })
+            .map(|b| (0..n).filter(|w| w / warps_per_block == b).collect())
             .collect();
         // Split warps round-robin across schedulers.
-        self.schedulers = (0..config.schedulers_per_sm)
+        self.schedulers = (0..num_schedulers)
             .map(|s| {
                 WarpScheduler::new(
                     config.scheduler,
-                    (0..n).filter(|w| w % config.schedulers_per_sm == s).collect(),
+                    (0..n).filter(|w| w % num_schedulers == s).collect(),
                 )
             })
             .collect();
@@ -833,7 +829,7 @@ impl Sm {
         addr: LineAddr,
         cycle: Cycles,
         verified: bool,
-        payload: Option<CacheLine>,
+        payload: Option<Box<CacheLine>>,
         ctx: &mut MemCtx<'_>,
     ) {
         // Fault injection on the L2/DRAM return path: the refill arrives
@@ -872,7 +868,7 @@ impl Sm {
         // The ground-truth refill payload: the backing-store image's
         // bytes when a write-back landed on this line, pristine kernel
         // data otherwise.
-        let data = payload.unwrap_or_else(|| ctx.kernel.line_data(addr));
+        let data = payload.map_or_else(|| ctx.kernel.line_data(addr), |line| *line);
         if drop_fill {
             ctx.stats.faults.tag_corruptions += 1;
             // Write-back mode: the allocation was lost, but a store that
@@ -1182,6 +1178,13 @@ mod tests {
         assert!(sm.structural_errors(&UncompressedPolicy).is_empty());
         assert_eq!(sm.next_wake(), None);
         assert!(sm.all_finished());
+    }
+
+    #[test]
+    fn refill_events_stay_small() {
+        // The event heap moves whole events on every sift; the optional
+        // refill payload is boxed so it costs a pointer, not a line.
+        assert!(std::mem::size_of::<MemEvent>() <= 40);
     }
 
     #[test]

@@ -325,3 +325,29 @@ fn barriers_synchronise_blocks() {
     // the post-barrier miss round trip.
     assert!(stats.cycles > 500);
 }
+
+#[test]
+fn zero_block_and_scheduler_counts_run_as_one() {
+    // A 0 in either launch setting used to panic (division by zero,
+    // scheduler index out of bounds); both now run exactly as 1.
+    let kernel = StridedKernel::new(8, 40, 64);
+    let one = GpuConfig {
+        warps_per_block: 1,
+        schedulers_per_sm: 1,
+        ..GpuConfig::small()
+    };
+    let expected = run_baseline(one.clone(), &kernel);
+    assert!(!expected.timed_out);
+    for (warps_per_block, schedulers_per_sm) in [(0, 1), (1, 0), (0, 0)] {
+        let config = GpuConfig {
+            warps_per_block,
+            schedulers_per_sm,
+            ..one.clone()
+        };
+        assert_eq!(
+            run_baseline(config, &kernel),
+            expected,
+            "warps_per_block {warps_per_block}, schedulers_per_sm {schedulers_per_sm}"
+        );
+    }
+}

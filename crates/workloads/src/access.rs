@@ -76,34 +76,69 @@ impl AccessPattern {
     /// `warp`, out of `warps` total.
     #[must_use]
     pub fn line_offset(&self, i: u64, warp: u64, warps: u64, seed: u64) -> u64 {
+        self.prepare().line_offset(i, warp, warps, seed)
+    }
+
+    /// This pattern with its per-phase constants evaluated once.
+    pub(crate) fn prepare(&self) -> PhasePattern {
         match *self {
-            AccessPattern::Stream => {
-                // Disjoint slices (within the 24-bit region offset space):
-                // warp w covers [w << 17, (w + 1) << 17).
-                (warp << 17) + i
-            }
-            AccessPattern::UniformReuse { working_set_lines } => {
-                mix64(seed ^ (i.wrapping_mul(warps) + warp).wrapping_mul(0x2545_f491_4f6c_dd1d))
-                    % u64::from(working_set_lines.max(1))
-            }
+            AccessPattern::Stream => PhasePattern::Stream,
+            AccessPattern::UniformReuse { working_set_lines } => PhasePattern::UniformReuse {
+                working_set: u64::from(working_set_lines.max(1)),
+            },
             AccessPattern::Zipf {
                 universe_lines,
                 alpha_x100,
-            } => {
-                let n = u64::from(universe_lines.max(1));
-                let u = mix64(seed ^ (i * 0x9e37 + warp * 0x79b9) ^ 0x5a5a);
-                let rank = zipf_sample(u, n, alpha_x100);
-                // Scatter ranks over lines with a bijection so hot ranks
-                // do not all land in the first few cache sets (which would
-                // bias any set-sampling scheme).
-                scatter(rank, n, seed)
-            }
+            } => PhasePattern::Zipf(ZipfSampler::new(u64::from(universe_lines.max(1)), alpha_x100)),
             AccessPattern::Tiled {
                 tile_lines,
                 reuse_factor,
             } => {
                 let tile_lines = u64::from(tile_lines.max(1));
-                let span = tile_lines * u64::from(reuse_factor.max(1));
+                PhasePattern::Tiled {
+                    tile_lines,
+                    span: tile_lines * u64::from(reuse_factor.max(1)),
+                }
+            }
+        }
+    }
+}
+
+/// An [`AccessPattern`] with the constants that depend only on its
+/// parameters evaluated once, when a warp enters the phase, instead of
+/// on every load (Zipf's `n^(1-α)` above all). The address rule itself
+/// lives only here; [`AccessPattern::line_offset`] prepares and calls it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum PhasePattern {
+    Stream,
+    UniformReuse { working_set: u64 },
+    Zipf(ZipfSampler),
+    Tiled { tile_lines: u64, span: u64 },
+}
+
+impl PhasePattern {
+    /// The line offset (within the phase's region) of load `i` issued by
+    /// `warp`, out of `warps` total.
+    pub(crate) fn line_offset(&self, i: u64, warp: u64, warps: u64, seed: u64) -> u64 {
+        match *self {
+            PhasePattern::Stream => {
+                // Disjoint slices (within the 24-bit region offset space):
+                // warp w covers [w << 17, (w + 1) << 17).
+                (warp << 17) + i
+            }
+            PhasePattern::UniformReuse { working_set } => {
+                mix64(seed ^ (i.wrapping_mul(warps) + warp).wrapping_mul(0x2545_f491_4f6c_dd1d))
+                    % working_set
+            }
+            PhasePattern::Zipf(zipf) => {
+                let u = mix64(seed ^ (i * 0x9e37 + warp * 0x79b9) ^ 0x5a5a);
+                let rank = zipf.sample(u);
+                // Scatter ranks over lines with a bijection so hot ranks
+                // do not all land in the first few cache sets (which would
+                // bias any set-sampling scheme).
+                scatter(rank, zipf.n, seed)
+            }
+            PhasePattern::Tiled { tile_lines, span } => {
                 // Stagger tile boundaries across warps (real blocks do not
                 // cross tiles in lockstep); this also keeps the simulated
                 // dynamics smooth instead of stampede-driven.
@@ -141,23 +176,48 @@ fn scatter(x: u64, n: u64, seed: u64) -> u64 {
     }
 }
 
-/// Samples a Zipf(α)-distributed rank in `[0, n)` from uniform random bits
-/// using the inverse-CDF power-law approximation: rank ≈ n·u^(1/(1−α))
+/// Samples Zipf(α)-distributed ranks in `[0, n)` from uniform random
+/// bits using the inverse-CDF power-law approximation: rank ≈ n·u^(1/(1−α))
 /// for α < 1, and a bounded harmonic approximation above. Exactness is
 /// irrelevant — only the skew matters.
-fn zipf_sample(random: u64, n: u64, alpha_x100: u32) -> u64 {
-    let u = ((random >> 11) as f64) / ((1u64 << 53) as f64); // [0, 1)
-    let alpha = f64::from(alpha_x100) / 100.0;
-    let rank = if (alpha - 1.0).abs() < 0.01 {
-        // α ≈ 1: exponential of log-uniform.
-        ((n as f64).powf(u) - 1.0).max(0.0)
-    } else {
-        let p = 1.0 - alpha;
-        // Inverse CDF of f(x) ∝ x^-α on [1, n].
-        let x = (u * ((n as f64).powf(p) - 1.0) + 1.0).powf(1.0 / p) - 1.0;
-        x.max(0.0)
-    };
-    (rank as u64).min(n - 1)
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ZipfSampler {
+    n: u64,
+    curve: ZipfCurve,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ZipfCurve {
+    /// α ≈ 1: exponential of log-uniform.
+    LogUniform,
+    /// Inverse CDF of f(x) ∝ x^-α on [1, n], with p = 1 − α:
+    /// `(u·span + 1)^inv_p − 1`, where `span = n^p − 1`, `inv_p = 1/p`.
+    Power { span: f64, inv_p: f64 },
+}
+
+impl ZipfSampler {
+    fn new(n: u64, alpha_x100: u32) -> ZipfSampler {
+        let alpha = f64::from(alpha_x100) / 100.0;
+        let curve = if (alpha - 1.0).abs() < 0.01 {
+            ZipfCurve::LogUniform
+        } else {
+            let p = 1.0 - alpha;
+            ZipfCurve::Power {
+                span: (n as f64).powf(p) - 1.0,
+                inv_p: 1.0 / p,
+            }
+        };
+        ZipfSampler { n, curve }
+    }
+
+    fn sample(&self, random: u64) -> u64 {
+        let u = ((random >> 11) as f64) / ((1u64 << 53) as f64); // [0, 1)
+        let rank = match self.curve {
+            ZipfCurve::LogUniform => ((self.n as f64).powf(u) - 1.0).max(0.0),
+            ZipfCurve::Power { span, inv_p } => ((u * span + 1.0).powf(inv_p) - 1.0).max(0.0),
+        };
+        (rank as u64).min(self.n - 1)
+    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Benchmark specifications and the [`SyntheticKernel`] adapter that turns
 //! them into `latte-gpusim` kernels.
 
-use crate::access::AccessPattern;
+use crate::access::{AccessPattern, PhasePattern};
 use crate::values::{mix64, LineGenerator, REGION_SHIFT};
 use latte_cache::LineAddr;
 use latte_compress::CacheLine;
@@ -221,17 +221,13 @@ impl Kernel for SyntheticKernel {
     }
 
     fn warp_program(&self, sm: usize, warp: usize) -> Box<dyn OpStream> {
-        Box::new(PhaseStream {
-            phases: self.spec.phases.clone(),
-            warps: self.spec.warps_per_sm as u64,
-            sm: sm as u64,
-            warp: warp as u64,
-            seed: self.seed,
-            phase_idx: 0,
-            load_idx: 0,
-            pending_compute: false,
-            barrier_emitted: false,
-        })
+        Box::new(PhaseStream::new(
+            self.spec.phases.clone(),
+            self.spec.warps_per_sm as u64,
+            sm as u64,
+            warp as u64,
+            self.seed,
+        ))
     }
 
     fn line_data(&self, addr: LineAddr) -> CacheLine {
@@ -247,25 +243,66 @@ struct PhaseStream {
     warp: u64,
     seed: u64,
     phase_idx: usize,
+    /// The current phase's constants (`None` once the script is done).
+    phase: Option<Phase>,
     load_idx: u64,
     pending_compute: bool,
     barrier_emitted: bool,
 }
 
+/// What a warp needs of its current phase, evaluated once on entering
+/// it rather than on every op.
+#[derive(Debug, Clone, Copy)]
+struct Phase {
+    spec: PhaseSpec,
+    /// Loads this warp issues in the phase: `loads_per_warp` when the
+    /// warp is among the phase's active warps, otherwise 0 (it goes
+    /// straight to the phase barrier).
+    loads: u64,
+    /// The access pattern with its constants evaluated.
+    pattern: PhasePattern,
+    /// The pattern's seed: the workload seed with the phase index mixed in.
+    seed: u64,
+}
+
 impl PhaseStream {
-    fn phase(&self) -> &PhaseSpec {
-        &self.phases[self.phase_idx]
+    fn new(phases: Vec<PhaseSpec>, warps: u64, sm: u64, warp: u64, seed: u64) -> PhaseStream {
+        let mut stream = PhaseStream {
+            phases,
+            warps,
+            sm,
+            warp,
+            seed,
+            phase_idx: 0,
+            phase: None,
+            load_idx: 0,
+            pending_compute: false,
+            barrier_emitted: false,
+        };
+        stream.enter_phase(0);
+        stream
     }
 
-    fn active_in_phase(&self) -> bool {
-        let p = self.phase();
-        self.warp * 100 < u64::from(p.active_warp_percent) * self.warps
+    /// Moves to phase `idx` and evaluates its constants.
+    fn enter_phase(&mut self, idx: usize) {
+        self.phase_idx = idx;
+        self.load_idx = 0;
+        self.pending_compute = false;
+        self.barrier_emitted = false;
+        self.phase = self.phases.get(idx).map(|&spec| {
+            let active = self.warp * 100 < u64::from(spec.active_warp_percent) * self.warps;
+            Phase {
+                spec,
+                loads: if active { u64::from(spec.loads_per_warp) } else { 0 },
+                pattern: spec.pattern.prepare(),
+                seed: self.seed ^ (idx as u64) << 48,
+            }
+        });
     }
 
-    fn memory_op(&self, p: &PhaseSpec, i: u64) -> Op {
-        let offset = p
-            .pattern
-            .line_offset(i, self.warp, self.warps, self.seed ^ (self.phase_idx as u64) << 48);
+    fn memory_op(&self, phase: &Phase, i: u64) -> Op {
+        let p = &phase.spec;
+        let offset = phase.pattern.line_offset(i, self.warp, self.warps, phase.seed);
         let line = (self.sm << 32) | (u64::from(p.region) << REGION_SHIFT) | (offset & 0xff_ffff);
         let addr = line * CacheLine::SIZE_BYTES as u64;
         let is_store = p.store_percent > 0
@@ -305,21 +342,17 @@ pub fn store_payload(seed: u64, line: u64, i: u64) -> (usize, [u8; 32]) {
 impl OpStream for PhaseStream {
     fn next_op(&mut self) -> Op {
         loop {
-            if self.phase_idx >= self.phases.len() {
+            let Some(phase) = self.phase else {
                 return Op::Exit;
-            }
-            let p = *self.phase();
-            let loads_done = !self.active_in_phase() || self.load_idx >= u64::from(p.loads_per_warp);
-            if loads_done {
+            };
+            let p = &phase.spec;
+            if self.load_idx >= phase.loads {
                 // Phase epilogue: one barrier, then advance.
                 if !self.barrier_emitted {
                     self.barrier_emitted = true;
                     return Op::Barrier;
                 }
-                self.phase_idx += 1;
-                self.load_idx = 0;
-                self.pending_compute = false;
-                self.barrier_emitted = false;
+                self.enter_phase(self.phase_idx + 1);
                 continue;
             }
             if self.pending_compute && p.compute_per_load > 0 {
@@ -330,13 +363,13 @@ impl OpStream for PhaseStream {
                     cycles: p.compute_per_load * u32::from(p.mlp.max(1)),
                 };
             }
-            let op = self.memory_op(&p, self.load_idx);
+            let op = self.memory_op(&phase, self.load_idx);
             self.load_idx += 1;
             // Loads within an MLP batch are independent: all but the last
             // of each batch issue asynchronously, and the batch's compute
             // follows the blocking join.
             let mlp = u64::from(p.mlp.max(1));
-            let batch_end = self.load_idx.is_multiple_of(mlp) || self.load_idx >= u64::from(p.loads_per_warp);
+            let batch_end = self.load_idx.is_multiple_of(mlp) || self.load_idx >= phase.loads;
             if !batch_end {
                 if let Op::Load { addr } = op {
                     return Op::LoadAsync { addr };

@@ -90,7 +90,8 @@ impl ValueProfile {
         }
     }
 
-    /// Generates the contents of `addr` under this profile.
+    /// Generates the contents of `addr` under this profile. Builds the
+    /// line's words in fixed arrays: no heap allocation per line.
     #[must_use]
     pub fn line(&self, addr: LineAddr, seed: u64) -> CacheLine {
         let base = mix64(addr.line_number() ^ seed.rotate_left(17));
@@ -98,10 +99,7 @@ impl ValueProfile {
             ValueProfile::Zeros => CacheLine::zeroed(),
             ValueProfile::SmallInts { max } => {
                 let max = max.max(1);
-                let words: Vec<u32> = (0..32)
-                    .map(|i| (mix64(base ^ i) % u64::from(max)) as u32)
-                    .collect();
-                CacheLine::from_u32_words(&words)
+                u32_line(|i| (mix64(base ^ i) % u64::from(max)) as u32)
             }
             ValueProfile::Pointers => {
                 // One small heap segment per line (objects from one
@@ -111,64 +109,52 @@ impl ValueProfile {
                 let segment = 0x7f3a_0000_0000_0000u64
                     | ((mix64(base ^ 0x5e9_0001) & 0xffff) << 32)
                     | ((mix64(base ^ 0x5e9_0002) & 0xfff) << 20);
-                let words: Vec<u64> = (0..16)
-                    .map(|i| {
-                        let r = mix64(base ^ (i + 100));
-                        if r.is_multiple_of(8) {
-                            0
-                        } else {
-                            // 16 KiB object span: deltas fit two bytes.
-                            segment + (r % 2048) * 8
-                        }
-                    })
-                    .collect();
+                let mut words = [0u64; CacheLine::NUM_U64_WORDS];
+                for (i, word) in (0u64..).zip(words.iter_mut()) {
+                    let r = mix64(base ^ (i + 100));
+                    *word = if r.is_multiple_of(8) {
+                        0
+                    } else {
+                        // 16 KiB object span: deltas fit two bytes.
+                        segment + (r % 2048) * 8
+                    };
+                }
                 CacheLine::from_u64_words(&words)
             }
             ValueProfile::Indices { stride, noise_bits } => {
                 let start = (base as u32) & 0x00ff_ffff;
                 let noise_mask = (1u32 << noise_bits.min(31)) - 1;
-                let words: Vec<u32> = (0..32u32)
-                    .map(|i| {
-                        let noise = (mix64(base ^ u64::from(i) ^ 0xabcd) as u32) & noise_mask;
-                        start.wrapping_add(i * stride).wrapping_add(noise)
-                    })
-                    .collect();
-                CacheLine::from_u32_words(&words)
+                u32_line(|i| {
+                    let noise = (mix64(base ^ i ^ 0xabcd) as u32) & noise_mask;
+                    start.wrapping_add(i as u32 * stride).wrapping_add(noise)
+                })
             }
             ValueProfile::HotFloats { alphabet } => {
                 let alphabet = u64::from(alphabet.max(1));
-                let words: Vec<u32> = (0..32)
-                    .map(|i| {
-                        // Pick an alphabet slot, then derive a stable float
-                        // for that slot from the *seed only* (not the
-                        // address), so the same values recur everywhere.
-                        let slot = mix64(base ^ (i * 7 + 13)) % alphabet;
-                        let v = mix64(seed ^ (slot.wrapping_mul(0x5851_f42d_4c95_7f2d)));
-                        // A plausible float: random sign/mantissa, bounded
-                        // exponent.
-                        let sign = (v & 1) << 31;
-                        let exp = (96 + (v >> 1) % 64) << 23; // 2^-31 .. 2^32
-                        let mantissa = (v >> 8) & 0x7f_ffff;
-                        (sign | exp | mantissa) as u32
-                    })
-                    .collect();
-                CacheLine::from_u32_words(&words)
+                u32_line(|i| {
+                    // Pick an alphabet slot, then derive a stable float
+                    // for that slot from the *seed only* (not the
+                    // address), so the same values recur everywhere.
+                    let slot = mix64(base ^ (i * 7 + 13)) % alphabet;
+                    let v = mix64(seed ^ (slot.wrapping_mul(0x5851_f42d_4c95_7f2d)));
+                    // A plausible float: random sign/mantissa, bounded
+                    // exponent.
+                    let sign = (v & 1) << 31;
+                    let exp = (96 + (v >> 1) % 64) << 23; // 2^-31 .. 2^32
+                    let mantissa = (v >> 8) & 0x7f_ffff;
+                    (sign | exp | mantissa) as u32
+                })
             }
-            ValueProfile::RandomFloats => {
-                let words: Vec<u32> = (0..32)
-                    .map(|i| {
-                        let v = mix64(base ^ (i + 999));
-                        let sign = (v & 1) << 31;
-                        // Wide exponent spread: enough entropy in the top
-                        // bits that even BPC's bit-plane transform finds
-                        // nothing to strip.
-                        let exp = (32 + (v >> 1) % 192) << 23;
-                        let mantissa = (v >> 8) & 0x7f_ffff;
-                        (sign | exp | mantissa) as u32
-                    })
-                    .collect();
-                CacheLine::from_u32_words(&words)
-            }
+            ValueProfile::RandomFloats => u32_line(|i| {
+                let v = mix64(base ^ (i + 999));
+                let sign = (v & 1) << 31;
+                // Wide exponent spread: enough entropy in the top
+                // bits that even BPC's bit-plane transform finds
+                // nothing to strip.
+                let exp = (32 + (v >> 1) % 192) << 23;
+                let mantissa = (v >> 8) & 0x7f_ffff;
+                (sign | exp | mantissa) as u32
+            }),
             ValueProfile::Text => {
                 let mut bytes = [0u8; CacheLine::SIZE_BYTES];
                 for (i, b) in bytes.iter_mut().enumerate() {
@@ -185,6 +171,15 @@ impl ValueProfile {
             }
         }
     }
+}
+
+/// A line of 32 little-endian words, word `i` being `word(i)`.
+fn u32_line(word: impl Fn(u64) -> u32) -> CacheLine {
+    let mut words = [0u32; CacheLine::NUM_U32_WORDS];
+    for (i, w) in (0u64..).zip(words.iter_mut()) {
+        *w = word(i);
+    }
+    CacheLine::from_u32_words(&words)
 }
 
 /// A region-aware generator: benchmarks often mix data types (e.g. a graph
