@@ -8,15 +8,15 @@
 //! * **Self-contained versioning.** The payload leads with a codec
 //!   version; any mismatch is a typed error, which the simulation
 //!   service treats as a miss. (Defense in depth: the store key already
-//!   folds in [`latte_gpusim::FINGERPRINT_SCHEMA_VERSION`], so a layout
-//!   change normally changes the key and old records are simply never
-//!   requested.)
+//!   folds in [`CODEC_VERSION`] and
+//!   [`latte_gpusim::FINGERPRINT_SCHEMA_VERSION`], so a layout change
+//!   changes the key and old records are simply never requested.)
 //! * **Decode is validation.** Every tag and length is checked, the
 //!   decoded identity (benchmark abbreviation, policy) must match what
 //!   the caller asked for, and trailing bytes are an error. A payload
 //!   that decodes is exactly a result this binary could have produced.
 
-use crate::runner::{BenchResult, PolicyKind};
+use crate::runner::{BenchResult, KernelRecord, PolicyKind};
 use latte_cache::{CacheStats, LineAddr};
 use latte_compress::CompressionAlgo;
 use latte_energy::EnergyReport;
@@ -28,12 +28,14 @@ use latte_oracle::OracleReport;
 use latte_workloads::BenchmarkSpec;
 use std::fmt;
 
-/// Bump on ANY change to the encoded layout, alongside
-/// [`latte_gpusim::FINGERPRINT_SCHEMA_VERSION`].
+/// Bump on ANY change to the encoded layout. The store key folds it
+/// in, so records of other versions are never requested.
 /// v2: `writebacks` kernel counter, write-back fault counters
 /// (`writeback_faults`/`writeback_retry_cycles`/`writebacks_dropped`),
 /// Assist-Warp policy tag.
-pub const CODEC_VERSION: u32 = 2;
+/// v3: per-kernel records (cycles and EP-mode histogram), after the
+/// policy reports.
+pub const CODEC_VERSION: u32 = 3;
 
 /// Everything that can be wrong with a stored payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -281,6 +283,14 @@ pub fn encode_outcome(result: &BenchResult, diag: &str) -> Vec<u8> {
         }
     }
 
+    w.u64(result.kernels.len() as u64);
+    for k in &result.kernels {
+        w.u64(k.cycles);
+        for m in k.eps_in_mode {
+            w.u64(m);
+        }
+    }
+
     match &result.shadow {
         None => w.u8(0),
         Some(o) => {
@@ -510,6 +520,15 @@ pub fn decode_outcome(
         });
     }
 
+    let n_kernels = r.len_prefix()?;
+    let mut kernels = Vec::with_capacity(n_kernels);
+    for _ in 0..n_kernels {
+        kernels.push(KernelRecord {
+            cycles: r.u64()?,
+            eps_in_mode: [r.u64()?, r.u64()?, r.u64()?],
+        });
+    }
+
     let shadow = match r.u8()? {
         0 => None,
         1 => {
@@ -568,6 +587,7 @@ pub fn decode_outcome(
             stats,
             energy,
             reports,
+            kernels,
             shadow,
         },
         diag,
@@ -617,6 +637,16 @@ mod tests {
                 selected_mode: None,
             },
         ];
+        result.kernels = vec![
+            KernelRecord {
+                cycles: 4096,
+                eps_in_mode: [3, 0, 5],
+            },
+            KernelRecord {
+                cycles: u64::MAX,
+                eps_in_mode: [0, u64::MAX, 1],
+            },
+        ];
         result.stats.timed_out = true;
         result.stats.termination = TerminationReason::CycleLimit;
         result.stats.faults.bitflips_injected = 7;
@@ -651,6 +681,7 @@ mod tests {
         assert_eq!(a.policy, b.policy);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.reports, b.reports);
+        assert_eq!(a.kernels, b.kernels);
         assert_eq!(
             format!("{:?}", a.shadow),
             format!("{:?}", b.shadow),
@@ -687,6 +718,25 @@ mod tests {
     }
 
     #[test]
+    fn round_trip_keeps_per_kernel_records() {
+        // A simulated run records one kernel per launch...
+        let bench = nw();
+        let plain = sample_result(&bench);
+        assert_eq!(plain.kernels.len(), bench.build_kernels().len());
+        assert_eq!(
+            plain.kernels.iter().map(|k| k.cycles).sum::<u64>(),
+            plain.stats.cycles
+        );
+        // ...and every record, in order, survives the store format.
+        for result in [plain, enriched(&bench)] {
+            let bytes = encode_outcome(&result, "");
+            let (decoded, _) =
+                decode_outcome(&bytes, PolicyKind::StaticBdi, &bench).expect("round trip");
+            assert_eq!(decoded.kernels, result.kernels);
+        }
+    }
+
+    #[test]
     fn identity_mismatches_are_rejected() {
         let bench = nw();
         let result = sample_result(&bench);
@@ -704,13 +754,17 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_rejected() {
+        // Records written before per-kernel records existed (v2) and by
+        // a newer build both decode as a miss.
         let bench = nw();
-        let mut bytes = encode_outcome(&sample_result(&bench), "");
-        bytes[0..4].copy_from_slice(&(CODEC_VERSION + 1).to_le_bytes());
-        assert!(matches!(
-            decode_outcome(&bytes, PolicyKind::StaticBdi, &bench),
-            Err(CodecError::BadVersion(v)) if v == CODEC_VERSION + 1
-        ));
+        for version in [2, CODEC_VERSION + 1] {
+            let mut bytes = encode_outcome(&sample_result(&bench), "");
+            bytes[0..4].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                decode_outcome(&bytes, PolicyKind::StaticBdi, &bench),
+                Err(CodecError::BadVersion(v)) if v == version
+            ));
+        }
     }
 
     #[test]

@@ -8,11 +8,8 @@
 
 use crate::report::outln;
 use crate::experiments::write_csv;
-use crate::pool;
-use crate::runner::{experiment_config, geomean, PolicyKind};
+use crate::runner::{experiment_config, geomean, kernel_opt, PolicyKind};
 use crate::sim;
-use latte_core::run_kernel_opt;
-use latte_gpusim::Kernel;
 use latte_workloads::{suite, Category};
 
 /// One benchmark's Fig 11 numbers.
@@ -26,10 +23,9 @@ pub struct Fig11Row {
     pub speedups: [f64; 4],
 }
 
-/// Computes the Fig 11 data set (reused by `summary`).
+/// Computes the Fig 11 data set.
 #[must_use]
 pub fn collect() -> Vec<Fig11Row> {
-    let config = experiment_config();
     let benches = suite();
     let policies = [
         PolicyKind::Baseline,
@@ -37,31 +33,15 @@ pub fn collect() -> Vec<Fig11Row> {
         PolicyKind::StaticSc,
         PolicyKind::LatteCc,
     ];
-    let matrix = sim::run_matrix(&policies, &benches, &config);
-    // The Kernel-OPT oracle is not a policy simulation (it sweeps every
-    // mode per kernel), so it bypasses the memo cache — but it is the
-    // most expensive column, so fan it out as one subtask per benchmark.
-    let opt_cycles = pool::run_subtasks(
-        benches
-            .iter()
-            .map(|bench| {
-                let bench = bench.clone();
-                let config = config.clone();
-                Box::new(move || {
-                    let kernels = bench.build_kernels();
-                    let refs: Vec<&dyn Kernel> =
-                        kernels.iter().map(|k| k as &dyn Kernel).collect();
-                    run_kernel_opt(&config, &refs).total_cycles()
-                }) as Box<dyn FnOnce() -> u64 + Send>
-            })
-            .collect(),
-    );
+    let matrix = sim::run_matrix(&policies, &benches, &experiment_config());
     benches
         .iter()
         .zip(matrix)
-        .zip(opt_cycles)
-        .map(|((bench, runs), opt_cycles)| {
+        .map(|(bench, runs)| {
             let (base, bdi, sc, latte) = (&runs[0], &runs[1], &runs[2], &runs[3]);
+            // Kernel-OPT is a per-kernel minimum over the three static
+            // runs above, so it costs no simulation of its own.
+            let opt_cycles = kernel_opt([base, bdi, sc]).total_cycles();
             Fig11Row {
                 abbr: bench.abbr,
                 category: bench.category,

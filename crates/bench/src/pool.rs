@@ -85,7 +85,9 @@ fn run_one_subtask() -> bool {
 /// is `None` only if the worker executing it died (a panic escaping the
 /// task closure).
 ///
-/// `jobs` is clamped to `1..=tasks.len()`.
+/// `jobs` is raised to at least 1 but never lowered to the task count:
+/// workers without a main task of their own still run the subtasks the
+/// running ones fan out, so a single experiment uses every worker.
 pub fn run_tasks<'env, T, F>(
     jobs: usize,
     tasks: Vec<Task<'env, T>>,
@@ -99,7 +101,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let jobs = jobs.clamp(1, n);
+    let jobs = jobs.max(1);
 
     // Seed the per-worker deques round-robin so long-running experiments
     // registered next to each other start on different workers.
@@ -412,6 +414,44 @@ mod tests {
         for (t, r) in results.iter().enumerate() {
             assert_eq!(*r, Some(t * 800 + 28));
         }
+    }
+
+    #[test]
+    fn one_main_task_spreads_its_subtasks_over_every_worker() {
+        // Two subtasks that can only finish together: each waits (with a
+        // timeout, so a regression fails rather than hangs) until both
+        // have started. With one experiment and two jobs they must run
+        // on two threads at once.
+        let started = std::sync::Arc::new(AtomicUsize::new(0));
+        let tasks: Vec<Task<'_, Vec<(std::thread::ThreadId, bool)>>> = vec![Box::new(|| {
+            run_subtasks(
+                (0..2)
+                    .map(|_| {
+                        let started = std::sync::Arc::clone(&started);
+                        Box::new(move || {
+                            started.fetch_add(1, Ordering::SeqCst);
+                            let deadline =
+                                std::time::Instant::now() + std::time::Duration::from_secs(60);
+                            while started.load(Ordering::SeqCst) < 2
+                                && std::time::Instant::now() < deadline
+                            {
+                                std::thread::yield_now();
+                            }
+                            let met = started.load(Ordering::SeqCst) >= 2;
+                            (std::thread::current().id(), met)
+                        })
+                            as Box<dyn FnOnce() -> (std::thread::ThreadId, bool) + Send>
+                    })
+                    .collect(),
+            )
+        })];
+        let results = run_tasks(2, tasks, |_, _| {});
+        let subs = results[0].clone().expect("the experiment completes");
+        assert!(
+            subs.iter().all(|&(_, met)| met),
+            "the two subtasks never ran concurrently"
+        );
+        assert_ne!(subs[0].0, subs[1].0, "both subtasks ran on one thread");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 
 use crate::report::outln;
 use latte_core::{
-    AdaptiveCmp, AdaptiveHitCount, AssistWarp, CompressionMode, HighCapacityAlgo, LatteCc,
-    LatteCcMulti, LatteConfig, MultiConfig, StaticBdi, StaticBpc, StaticSc,
+    select_kernel_opt, AdaptiveCmp, AdaptiveHitCount, AssistWarp, CompressionMode,
+    HighCapacityAlgo, KernelOptResult, LatteCc, LatteCcMulti, LatteConfig, MultiConfig, StaticBdi,
+    StaticBpc, StaticSc,
 };
 use latte_energy::{EnergyModel, EnergyReport};
 use latte_gpusim::{
@@ -286,6 +287,17 @@ impl PolicyKind {
     }
 }
 
+/// One kernel of a benchmark run, in launch order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelRecord {
+    /// The kernel's execution cycles.
+    pub cycles: u64,
+    /// EPs the kernel spent in [no-compression, low-latency,
+    /// high-capacity] mode, summed over SMs (all zero for non-adaptive
+    /// policies).
+    pub eps_in_mode: [u64; 3],
+}
+
 /// Aggregate result of one benchmark under one policy.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
@@ -299,6 +311,8 @@ pub struct BenchResult {
     pub energy: EnergyReport,
     /// Per-SM policy decision reports after the final kernel.
     pub reports: Vec<latte_gpusim::PolicyReport>,
+    /// One record per kernel, in launch order.
+    pub kernels: Vec<KernelRecord>,
     /// Oracle verification report, when the run was shadow-checked.
     pub shadow: Option<OracleReport>,
 }
@@ -328,6 +342,15 @@ impl BenchResult {
     pub fn energy_ratio_over(&self, baseline: &BenchResult) -> f64 {
         self.energy.total_nj() / baseline.energy.total_nj().max(1e-9)
     }
+}
+
+/// The Kernel-OPT oracle (§V-B) of one benchmark, as a view over its
+/// Baseline, Static-BDI and Static-SC runs, in that order: per kernel,
+/// the fastest of the three static modes.
+#[must_use]
+pub fn kernel_opt(static_runs: [&BenchResult; 3]) -> KernelOptResult {
+    let cycles = static_runs.map(|run| run.kernels.iter().map(|k| k.cycles).collect::<Vec<_>>());
+    select_kernel_opt([&cycles[0], &cycles[1], &cycles[2]])
 }
 
 /// The default experiment machine: a scaled-down Table II configuration
@@ -470,8 +493,21 @@ fn run_instrumented(
     };
     let kernels = bench.build_kernels();
     let mut stats = KernelStats::default();
+    let mut records = Vec::with_capacity(kernels.len());
     for kernel in &kernels {
         let ks = gpu.run_kernel(kernel as &dyn Kernel);
+        // Policies reset their mode histogram at each kernel start, so
+        // the reports taken here cover exactly this kernel.
+        let mut eps_in_mode = [0u64; 3];
+        for report in gpu.policy_reports() {
+            for (sum, eps) in eps_in_mode.iter_mut().zip(report.eps_in_mode) {
+                *sum += eps;
+            }
+        }
+        records.push(KernelRecord {
+            cycles: ks.cycles,
+            eps_in_mode,
+        });
         if !ks.termination.is_clean() {
             outln!(
                 "latte-bench: {}/{} under {} stopped early: {} after {} cycles \
@@ -516,6 +552,7 @@ fn run_instrumented(
         stats,
         energy,
         reports: gpu.policy_reports(),
+        kernels: records,
         shadow,
     }
 }
@@ -569,6 +606,94 @@ mod tests {
         assert_eq!(untouched.tolerance_scale, base.tolerance_scale);
         assert_eq!(untouched.force_mode, None);
         assert!(untouched.decide_trace.is_none());
+    }
+
+    /// The Kernel-OPT oracle as it ran before it became a view over
+    /// memoised results: one GPU per static mode, stepped through the
+    /// benchmark's kernels in launch order. Returns per-kernel cycles
+    /// indexed [mode][kernel]. Kept only as the reference the view is
+    /// checked against.
+    fn reference_kernel_opt_cycles(config: &GpuConfig, bench: &BenchmarkSpec) -> [Vec<u64>; 3] {
+        let kernels = bench.build_kernels();
+        let mut gpus: [Gpu; 3] = [
+            Gpu::new(config, |_| {
+                Box::new(UncompressedPolicy) as Box<dyn L1CompressionPolicy>
+            }),
+            Gpu::new(config, |_| {
+                Box::new(StaticBdi::new()) as Box<dyn L1CompressionPolicy>
+            }),
+            Gpu::new(config, |_| {
+                Box::new(StaticSc::new()) as Box<dyn L1CompressionPolicy>
+            }),
+        ];
+        gpus.each_mut().map(|gpu| {
+            kernels
+                .iter()
+                .map(|k| gpu.run_kernel(k as &dyn Kernel).cycles)
+                .collect()
+        })
+    }
+
+    #[test]
+    fn kernel_opt_view_matches_the_three_gpu_oracle() {
+        let config = GpuConfig {
+            num_sms: 1,
+            ..GpuConfig::small()
+        };
+        let mut modes_seen = [false; 3];
+        for abbr in ["BC", "SS"] {
+            let bench = latte_workloads::benchmark(abbr).expect("benchmark exists");
+            let kernels = bench.build_kernels();
+            assert!(kernels.len() > 1, "{abbr} must launch several kernels");
+
+            let reference = reference_kernel_opt_cycles(&config, &bench);
+            let runs = [
+                PolicyKind::Baseline,
+                PolicyKind::StaticBdi,
+                PolicyKind::StaticSc,
+            ]
+            .map(|policy| run_benchmark_uncached(policy, &bench, &config));
+            let view = kernel_opt([&runs[0], &runs[1], &runs[2]]);
+            assert_eq!(view.kernels.len(), kernels.len());
+            for (k, chosen) in view.kernels.iter().enumerate() {
+                let cycles = [reference[0][k], reference[1][k], reference[2][k]];
+                assert_eq!(
+                    chosen.cycles, cycles,
+                    "{abbr} kernel {k}: per-kernel cycles"
+                );
+                // The reference's own choice: the first fastest mode.
+                let best = (0..3).min_by_key(|&i| cycles[i]).expect("three modes");
+                assert_eq!(chosen.best, CompressionMode::ALL[best], "{abbr} kernel {k}");
+                modes_seen[best] = true;
+            }
+
+            // Fig 15's agreement reads LATTE-CC's per-kernel histograms:
+            // they equal the reports of a GPU stepped kernel by kernel.
+            let latte = run_benchmark_uncached(PolicyKind::LatteCc, &bench, &config);
+            let mut gpu = Gpu::new(&config, |_| PolicyKind::LatteCc.build(&config));
+            for (kernel, record) in kernels.iter().zip(&latte.kernels) {
+                let cycles = gpu.run_kernel(kernel as &dyn Kernel).cycles;
+                let mut eps_in_mode = [0u64; 3];
+                for report in gpu.policy_reports() {
+                    for (sum, eps) in eps_in_mode.iter_mut().zip(report.eps_in_mode) {
+                        *sum += eps;
+                    }
+                }
+                let expected = KernelRecord {
+                    cycles,
+                    eps_in_mode,
+                };
+                assert_eq!(*record, expected, "{abbr}");
+                assert!(
+                    eps_in_mode.iter().sum::<u64>() > 0,
+                    "{abbr}: LATTE-CC decided"
+                );
+            }
+        }
+        assert!(
+            modes_seen.iter().filter(|&&seen| seen).count() >= 2,
+            "the benchmarks must make the oracle choose more than one mode: {modes_seen:?}"
+        );
     }
 
     #[test]

@@ -249,10 +249,13 @@ fn key_for(policy: PolicyKind, bench: &BenchmarkSpec, config: &GpuConfig) -> Sim
 
 /// Derives the persistent-store content key for a simulation. Salted by
 /// a store-payload domain string (folded together with the fingerprint
-/// schema version) so that any change to the outcome encoding or the
-/// fingerprint algorithm retires every old record as a clean miss.
+/// schema version) and the codec version, so that any change to the
+/// outcome encoding or the fingerprint algorithm retires every old
+/// record as a clean miss, and the recompute is written under the new
+/// key rather than colliding with the stale record.
 fn disk_key_for(key: &SimKey) -> u128 {
     let mut fp = Fingerprinter::salted("latte-sim-outcome/v1");
+    fp.write_u64(u64::from(codec::CODEC_VERSION));
     fp.write_u64(u64::from(codec::policy_tag(key.policy)));
     fp.write_u64(key.fingerprint as u64);
     fp.write_u64((key.fingerprint >> 64) as u64);

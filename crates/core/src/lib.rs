@@ -16,9 +16,10 @@
 //!
 //! This crate provides the [`LatteCc`] controller plus every comparison
 //! policy of the paper's evaluation: [`StaticBdi`], [`StaticSc`],
-//! [`StaticBpc`], [`AdaptiveHitCount`], [`AdaptiveCmp`] and the
-//! [`run_kernel_opt`] oracle. All plug into the `latte-gpusim` simulator
-//! through the [`latte_gpusim::L1CompressionPolicy`] hook.
+//! [`StaticBpc`], [`AdaptiveHitCount`] and [`AdaptiveCmp`], all plugged
+//! into the `latte-gpusim` simulator through the
+//! [`latte_gpusim::L1CompressionPolicy`] hook, plus the Kernel-OPT
+//! oracle's per-kernel selection ([`select_kernel_opt`]).
 //!
 //! # Example
 //!
@@ -52,7 +53,7 @@ pub use amat::{amat_cmp, amat_gpu, ModeSample};
 pub use assist::{AssistWarp, AssistWarpConfig};
 pub use controller::{AdaptiveCmp, AdaptiveHitCount, LatteCc, LatteConfig, SamplingController};
 pub use error::SimError;
-pub use kernel_opt::{run_kernel_opt, KernelOptKernel, KernelOptResult};
+pub use kernel_opt::{select_kernel_opt, KernelOptKernel, KernelOptResult};
 pub use mode::{CompressionMode, HighCapacityAlgo};
 pub use multi::{LatteCcMulti, ModeOption, MultiConfig};
 pub use sc_manager::ScManager;
